@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use mb2_engine::Database;
+use mb2_engine::{Database, TxnScope};
 
 use crate::report::{fmt, results_dir, Table};
 use crate::Scale;
@@ -111,7 +111,7 @@ pub fn run(scale: Scale) -> String {
                 let mut streamed = 0usize;
                 let mut txn = db.begin();
                 let t0 = Instant::now();
-                db.execute_plan_streaming_in(&plan, &mut txn, None, &mut |b| {
+                db.run_plan(&plan, TxnScope::In(&mut txn), None, &mut |b| {
                     streamed += b.len();
                     Ok(())
                 })

@@ -8,7 +8,7 @@ use parking_lot::{Mutex, RwLock};
 use mb2_catalog::Catalog;
 use mb2_common::{Column, DbError, DbResult, FaultInjector, Schema};
 use mb2_exec::{
-    execute, execute_batched, Batch, ExecContext, ExecPool, ExecutionMode, ObsRecorder, OuRecorder,
+    execute_batched, Batch, ExecContext, ExecPool, ExecutionMode, ObsRecorder, OuRecorder,
     QueryResult, DEFAULT_MORSEL_SLOTS,
 };
 use mb2_index::IndexObs;
@@ -48,17 +48,59 @@ pub struct Database {
     background_tasks: Mutex<Vec<Weak<dyn BackgroundTask>>>,
     /// Observer of every DML/SELECT statement (workload forecasting).
     statement_tap: RwLock<Option<Arc<dyn StatementTap>>>,
-    /// Plans keyed by SQL text for [`Database::prepare_cached`] — the
-    /// paper's cached-query-plan assumption (§3) made concrete so the
-    /// server's admission path can price a statement without re-planning
-    /// it on every arrival. Invalidated wholesale by any DDL.
-    plan_cache: Mutex<std::collections::HashMap<String, Arc<PlanNode>>>,
+    /// Plans keyed by SQL text, filled by [`Database::prepare_cached`] — the
+    /// paper's cached-query-plan assumption (§3) made concrete: the
+    /// server's admission path prices the plan, and the statement resolver
+    /// then runs that same plan. Invalidated wholesale by any DDL.
+    plan_cache: Mutex<PlanCache>,
 }
 
 /// Cap on distinct SQL texts held by the plan cache; the whole cache is
 /// dropped at the cap (ad-hoc one-off texts cannot grow it unboundedly,
 /// and hot templates repopulate within one round).
 const PLAN_CACHE_CAP: usize = 1024;
+
+#[derive(Default)]
+struct PlanCache {
+    plans: std::collections::HashMap<String, Arc<PlanNode>>,
+    /// Bumped by every invalidation, so a plan built while a DDL ran is
+    /// not inserted after the DDL cleared the cache.
+    generation: u64,
+}
+
+/// The transaction a plan runs in.
+pub enum TxnScope<'a> {
+    /// A transaction of its own, committed after a successful run and
+    /// aborted after a failed one.
+    Autocommit,
+    /// The caller's open transaction.
+    In(&'a mut Transaction),
+}
+
+/// What the statement resolver turned a SQL text into.
+pub(crate) enum Resolved {
+    Begin,
+    Commit,
+    Rollback,
+    /// Engine-handled DDL: CREATE/DROP TABLE, DROP INDEX, ANALYZE.
+    Ddl(Box<Statement>),
+    Plan(Arc<PlanNode>),
+}
+
+/// Materialize a streamed run into a [`QueryResult`].
+pub(crate) fn collect(
+    run: impl FnOnce(&mut dyn FnMut(Batch) -> DbResult<()>) -> DbResult<usize>,
+) -> DbResult<QueryResult> {
+    let mut rows = Vec::new();
+    let rows_affected = run(&mut |b: Batch| {
+        rows.extend(b.rows.into_iter().map(mb2_exec::batch::into_owned));
+        Ok(())
+    })?;
+    Ok(QueryResult {
+        rows,
+        rows_affected,
+    })
+}
 
 impl Database {
     pub fn new(config: DatabaseConfig) -> DbResult<Database> {
@@ -111,7 +153,7 @@ impl Database {
             metrics,
             background_tasks: Mutex::new(Vec::new()),
             statement_tap: RwLock::new(None),
-            plan_cache: Mutex::new(std::collections::HashMap::new()),
+            plan_cache: Mutex::new(PlanCache::default()),
         })
     }
 
@@ -169,7 +211,8 @@ impl Database {
     }
 
     /// An [`OuRecorder`] that folds per-OU measurements into this database's
-    /// registry. Pass it to `execute_recorded` to populate the
+    /// registry. Pass it to [`execute_plan`](Self::execute_plan) (or any
+    /// entry taking a recorder) to populate the
     /// `mb2_ou_elapsed_us{ou=...}` runtime histograms.
     pub fn obs_recorder(&self) -> &Arc<ObsRecorder> {
         &self.obs_recorder
@@ -249,27 +292,10 @@ impl Database {
         self.background_tasks.lock().push(task);
     }
 
-    /// Install (or clear) the statement tap consulted on every successful
-    /// DML/SELECT parse. See [`StatementTap`].
+    /// Install (or clear) the statement tap consulted on every DML/SELECT
+    /// statement the resolver plans. See [`StatementTap`].
     pub fn set_statement_tap(&self, tap: Option<Arc<dyn StatementTap>>) {
         *self.statement_tap.write() = tap;
-    }
-
-    /// Report a statement to the installed tap, if any. Cheap when no tap
-    /// is installed (one read-lock acquisition).
-    fn tap_statement(&self, stmt: &Statement, sql: &str) {
-        if !matches!(
-            stmt,
-            Statement::Select(_)
-                | Statement::Insert { .. }
-                | Statement::Update { .. }
-                | Statement::Delete { .. }
-        ) {
-            return;
-        }
-        if let Some(tap) = self.statement_tap.read().as_ref() {
-            tap.observe(sql);
-        }
     }
 
     pub fn set_parallelism(&self, n: usize) {
@@ -401,27 +427,36 @@ impl Database {
     /// [`prepare`](Self::prepare) through a cache keyed by SQL text. The
     /// hot path for repeated statements (the server's admission scheduler
     /// prices every arrival): a hit costs one map lookup instead of a
-    /// parse + plan. DDL invalidates the whole cache — plans reference
-    /// catalog state (table ids, index choices) that DDL changes.
+    /// parse + plan. The only function that inserts into the cache. DDL
+    /// invalidates the whole cache — plans reference catalog state (table
+    /// ids, index choices) that DDL changes.
     pub fn prepare_cached(&self, sql: &str) -> DbResult<Arc<PlanNode>> {
-        if let Some(plan) = self.plan_cache.lock().get(sql) {
-            self.engine_metrics.plan_cache_hits.inc();
-            return Ok(plan.clone());
-        }
+        let generation = {
+            let cache = self.plan_cache.lock();
+            if let Some(plan) = cache.plans.get(sql) {
+                self.engine_metrics.plan_cache_hits.inc();
+                return Ok(plan.clone());
+            }
+            cache.generation
+        };
         self.engine_metrics.plan_cache_misses.inc();
         let plan = Arc::new(self.prepare(sql)?);
         let mut cache = self.plan_cache.lock();
-        if cache.len() >= PLAN_CACHE_CAP {
-            cache.clear();
+        if cache.generation == generation {
+            if cache.plans.len() >= PLAN_CACHE_CAP {
+                cache.plans.clear();
+            }
+            cache.plans.insert(sql.to_string(), plan.clone());
         }
-        cache.insert(sql.to_string(), plan.clone());
         Ok(plan)
     }
 
-    /// Drop every cached plan. Called after any successful DDL (including
-    /// index builds and ANALYZE — both change what the planner would pick).
+    /// Drop every cached plan. Called after any DDL (including index builds
+    /// and ANALYZE — both change what the planner would pick).
     pub fn invalidate_plan_cache(&self) {
-        self.plan_cache.lock().clear();
+        let mut cache = self.plan_cache.lock();
+        cache.plans.clear();
+        cache.generation += 1;
     }
 
     /// [`prepare`](Self::prepare) with what-if [`PlannerOverrides`]
@@ -435,46 +470,81 @@ impl Database {
         Planner::with_overrides(&self.catalog, overrides).plan(&stmt)
     }
 
-    /// Execute one statement in autocommit mode.
-    pub fn execute(&self, sql: &str) -> DbResult<QueryResult> {
-        self.execute_recorded(sql, None)
+    /// The statement resolver: turn `sql` into what runs, parsing it at
+    /// most once. A plan [`prepare_cached`](Self::prepare_cached) already
+    /// holds for the text (the server's admission step put it there) is
+    /// returned as a cache hit; otherwise the text is parsed and resolved
+    /// to transaction control, engine-handled DDL, or a fresh plan that is
+    /// *not* inserted (so embedded bulk loads do not grow the cache).
+    /// Every DML/SELECT plan is reported to the statement tap.
+    pub(crate) fn resolve(&self, sql: &str) -> DbResult<Resolved> {
+        let cached = self.plan_cache.lock().plans.get(sql).cloned();
+        let plan = match cached {
+            Some(plan) => {
+                self.engine_metrics.plan_cache_hits.inc();
+                plan
+            }
+            None => match parse(sql)? {
+                Statement::Begin => return Ok(Resolved::Begin),
+                Statement::Commit => return Ok(Resolved::Commit),
+                Statement::Rollback => return Ok(Resolved::Rollback),
+                stmt @ (Statement::CreateTable { .. }
+                | Statement::DropTable { .. }
+                | Statement::DropIndex { .. }
+                | Statement::Analyze { .. }) => return Ok(Resolved::Ddl(Box::new(stmt))),
+                stmt => Arc::new(Planner::new(&self.catalog).plan(&stmt)?),
+            },
+        };
+        if classify(&plan) != StatementKind::Ddl {
+            if let Some(tap) = self.statement_tap.read().as_ref() {
+                tap.observe(sql);
+            }
+        }
+        Ok(Resolved::Plan(plan))
     }
 
-    /// Execute one statement in autocommit mode with an OU recorder.
-    pub fn execute_recorded(
+    /// Run a resolved statement in `scope`. Transaction control is refused:
+    /// only a [`Session`] owns transaction scope, and it handles those
+    /// verbs before calling here.
+    pub(crate) fn run_resolved(
         &self,
-        sql: &str,
+        resolved: Resolved,
+        scope: TxnScope<'_>,
         recorder: Option<&dyn OuRecorder>,
-    ) -> DbResult<QueryResult> {
-        let stmt = parse(sql)?;
-        let ddl_series = self.engine_metrics.stmt(StatementKind::Ddl);
-        let ddl_span = self.metrics.span();
-        match self.try_handle_ddl(&stmt) {
-            Ok(Some(result)) => {
+        on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
+    ) -> DbResult<usize> {
+        match (resolved, scope) {
+            (Resolved::Plan(plan), scope) => self.run_plan(&plan, scope, recorder, on_batch),
+            // The cache is invalidated even when DDL fails part way: the
+            // catalog may already have changed.
+            (Resolved::Ddl(stmt), TxnScope::Autocommit) => self.observe(StatementKind::Ddl, || {
+                let applied = self.apply_ddl(&stmt);
                 self.invalidate_plan_cache();
-                ddl_series.count.inc();
-                ddl_span.observe(&ddl_series.latency_us);
-                return Ok(result);
+                applied.map(|()| 0)
+            }),
+            (Resolved::Ddl(_), TxnScope::In(_)) => {
+                Err(DbError::Plan("DDL is autocommit-only".into()))
             }
-            Ok(None) => {}
-            // `try_handle_ddl` only fails inside a DDL arm, so the error
-            // belongs to the `ddl` kind.
-            Err(e) => {
-                ddl_series.count.inc();
-                ddl_series.errors.inc();
-                return Err(e);
-            }
-        }
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Plan(
+            (Resolved::Begin | Resolved::Commit | Resolved::Rollback, _) => Err(DbError::Plan(
                 "transaction control requires a session (Database::session)".into(),
             )),
-            other => {
-                self.tap_statement(&other, sql);
-                let plan = Planner::new(&self.catalog).plan(&other)?;
-                self.execute_plan_autocommit(&plan, recorder)
-            }
         }
+    }
+
+    /// Execute one statement in autocommit mode.
+    pub fn execute(&self, sql: &str) -> DbResult<QueryResult> {
+        collect(|sink| self.run_resolved(self.resolve(sql)?, TxnScope::Autocommit, None, sink))
+    }
+
+    /// Execute a statement inside an existing transaction (used by the
+    /// workload drivers and the concurrent runners).
+    pub fn execute_in(
+        &self,
+        sql: &str,
+        txn: &mut Transaction,
+        recorder: Option<&dyn OuRecorder>,
+    ) -> DbResult<QueryResult> {
+        collect(|sink| self.run_resolved(self.resolve(sql)?, TxnScope::In(txn), recorder, sink))
     }
 
     /// Execute a pre-planned statement in autocommit mode.
@@ -483,40 +553,7 @@ impl Database {
         plan: &PlanNode,
         recorder: Option<&dyn OuRecorder>,
     ) -> DbResult<QueryResult> {
-        self.execute_plan_autocommit(plan, recorder)
-    }
-
-    /// Autocommit execution with end-to-end latency accounting: the
-    /// per-kind `mb2_stmt_latency_us` observation spans execution AND the
-    /// commit, so commit-side stalls (WAL pressure, commit-lock
-    /// contention, injected faults) are visible in the statement latency
-    /// the autopilot's verify step judges by.
-    fn execute_plan_autocommit(
-        &self,
-        plan: &PlanNode,
-        recorder: Option<&dyn OuRecorder>,
-    ) -> DbResult<QueryResult> {
-        let series = self.engine_metrics.stmt(classify(plan));
-        series.count.inc();
-        let span = self.metrics.span();
-        let mut txn = self.txns.begin();
-        match self.execute_plan_inner(plan, &mut txn, recorder) {
-            Ok(r) => match txn.commit() {
-                Ok(_) => {
-                    span.observe(&series.latency_us);
-                    Ok(r)
-                }
-                Err(e) => {
-                    series.errors.inc();
-                    Err(e)
-                }
-            },
-            Err(e) => {
-                series.errors.inc();
-                txn.abort();
-                Err(e)
-            }
-        }
+        collect(|sink| self.run_plan(plan, TxnScope::Autocommit, recorder, sink))
     }
 
     /// Execute a plan inside an existing transaction.
@@ -526,136 +563,92 @@ impl Database {
         txn: &mut Transaction,
         recorder: Option<&dyn OuRecorder>,
     ) -> DbResult<QueryResult> {
-        let series = self.engine_metrics.stmt(classify(plan));
-        series.count.inc();
-        let span = self.metrics.span();
-        let result = self.execute_plan_inner(plan, txn, recorder);
-        match &result {
-            Ok(_) => {
-                span.observe(&series.latency_us);
-            }
-            Err(_) => series.errors.inc(),
-        }
-        result
+        collect(|sink| self.run_plan(plan, TxnScope::In(txn), recorder, sink))
     }
 
-    fn execute_plan_inner(
+    /// The plan-level execution core: every plan the engine runs comes
+    /// through here. Result batches stream to `on_batch` as they are
+    /// produced (a callback error aborts the query and its upstream scans
+    /// early; DML runs to completion without invoking it). Returns the
+    /// rows streamed, or the rows affected by a write. Index builds are
+    /// checked against the WAL before the work, invalidate the plan cache
+    /// and are logged for recovery. Under [`TxnScope::Autocommit`] the
+    /// per-kind `mb2_stmt_latency_us` / `mb2_stmt_errors_total`
+    /// observation spans execution AND the commit, so commit-side stalls
+    /// (WAL pressure, commit-lock contention, injected faults) are visible
+    /// in the statement latency the autopilot's verify step judges by.
+    pub fn run_plan(
         &self,
         plan: &PlanNode,
-        txn: &mut Transaction,
-        recorder: Option<&dyn OuRecorder>,
-    ) -> DbResult<QueryResult> {
-        let knobs = self.knobs();
-        let mut ctx = ExecContext {
-            catalog: &self.catalog,
-            txn,
-            mode: knobs.execution_mode,
-            recorder,
-            hw: knobs.hw,
-            jht_sleep_every: knobs.jht_sleep_every,
-            index_obs: Some(self.index_obs.clone()),
-            batch_size: knobs.batch_size.max(1),
-            pool: self.exec_pool(),
-            morsel_slots: DEFAULT_MORSEL_SLOTS,
-            columnar: knobs.columnar_enabled,
-        };
-        // Index builds must be loggable before we spend the work building
-        // them; a poisoned WAL rejects the DDL up front.
-        if matches!(plan, mb2_sql::PlanNode::CreateIndex { .. }) {
-            self.check_wal_writable()?;
-        }
-        let result = execute(plan, &mut ctx)?;
-        // DDL-through-the-executor (index builds) is logged for recovery.
-        if let mb2_sql::PlanNode::CreateIndex {
-            table,
-            index,
-            columns,
-            ..
-        } = plan
-        {
-            if let Ok(entry) = self.catalog.get(table) {
-                self.log_ddl(&LogRecord::CreateIndex {
-                    table_id: entry.table.id.0,
-                    name: index.clone(),
-                    columns: columns.iter().map(|&c| c as u32).collect(),
-                })?;
-            }
-            self.invalidate_plan_cache();
-        }
-        Ok(result)
-    }
-
-    /// Execute one statement in autocommit mode, streaming result batches
-    /// to `on_batch` instead of materializing a [`QueryResult`] — result
-    /// rows reach the caller as they are produced, and a callback error
-    /// aborts the query (and its upstream scans) early. DDL runs through
-    /// the normal path; DML runs to completion without invoking the
-    /// callback. Returns the number of rows streamed (or rows affected).
-    pub fn execute_streaming(
-        &self,
-        sql: &str,
+        scope: TxnScope<'_>,
         recorder: Option<&dyn OuRecorder>,
         on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
     ) -> DbResult<usize> {
-        let stmt = parse(sql)?;
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Plan(
-                "transaction control requires a session (Database::session)".into(),
-            )),
-            // DDL (including index builds, which must be WAL-logged) takes
-            // the materializing path; it produces no result rows anyway.
-            Statement::CreateTable { .. }
-            | Statement::DropTable { .. }
-            | Statement::DropIndex { .. }
-            | Statement::Analyze { .. }
-            | Statement::CreateIndex { .. } => self
-                .execute_recorded(sql, recorder)
-                .map(|r| r.rows_affected),
-            other => {
-                self.tap_statement(&other, sql);
-                let plan = Planner::new(&self.catalog).plan(&other)?;
+        let mut run = |txn: &mut Transaction| -> DbResult<usize> {
+            // Index builds must be loggable before we spend the work
+            // building them; a poisoned WAL rejects the DDL up front.
+            if matches!(plan, PlanNode::CreateIndex { .. }) {
+                self.check_wal_writable()?;
+            }
+            let knobs = self.knobs();
+            let mut ctx = ExecContext {
+                catalog: &self.catalog,
+                txn,
+                mode: knobs.execution_mode,
+                recorder,
+                hw: knobs.hw,
+                jht_sleep_every: knobs.jht_sleep_every,
+                index_obs: Some(self.index_obs.clone()),
+                batch_size: knobs.batch_size.max(1),
+                pool: self.exec_pool(),
+                morsel_slots: DEFAULT_MORSEL_SLOTS,
+                columnar: knobs.columnar_enabled,
+            };
+            let n = execute_batched(plan, &mut ctx, on_batch)?;
+            if let PlanNode::CreateIndex {
+                table,
+                index,
+                columns,
+                ..
+            } = plan
+            {
+                self.invalidate_plan_cache();
+                if let Ok(entry) = self.catalog.get(table) {
+                    self.log_ddl(&LogRecord::CreateIndex {
+                        table_id: entry.table.id.0,
+                        name: index.clone(),
+                        columns: columns.iter().map(|&c| c as u32).collect(),
+                    })?;
+                }
+            }
+            Ok(n)
+        };
+        self.observe(classify(plan), || match scope {
+            TxnScope::In(txn) => run(txn),
+            TxnScope::Autocommit => {
                 let mut txn = self.txns.begin();
-                let result = self.execute_plan_streaming_in(&plan, &mut txn, recorder, on_batch);
-                match result {
-                    Ok(n) => {
-                        txn.commit()?;
-                        Ok(n)
-                    }
+                match run(&mut txn) {
+                    Ok(n) => txn.commit().map(|_| n),
                     Err(e) => {
                         txn.abort();
                         Err(e)
                     }
                 }
             }
-        }
+        })
     }
 
-    /// Streaming analog of [`Database::execute_plan_in`].
-    pub fn execute_plan_streaming_in(
+    /// Count, time and error-count one statement of `kind` around `run`
+    /// (the `mb2_stmt_*` families; latency records successes only).
+    fn observe(
         &self,
-        plan: &PlanNode,
-        txn: &mut Transaction,
-        recorder: Option<&dyn OuRecorder>,
-        on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
+        kind: StatementKind,
+        run: impl FnOnce() -> DbResult<usize>,
     ) -> DbResult<usize> {
-        let series = self.engine_metrics.stmt(classify(plan));
+        let series = self.engine_metrics.stmt(kind);
         series.count.inc();
         let span = self.metrics.span();
-        let knobs = self.knobs();
-        let mut ctx = ExecContext {
-            catalog: &self.catalog,
-            txn,
-            mode: knobs.execution_mode,
-            recorder,
-            hw: knobs.hw,
-            jht_sleep_every: knobs.jht_sleep_every,
-            index_obs: Some(self.index_obs.clone()),
-            batch_size: knobs.batch_size.max(1),
-            pool: self.exec_pool(),
-            morsel_slots: DEFAULT_MORSEL_SLOTS,
-            columnar: knobs.columnar_enabled,
-        };
-        let result = execute_batched(plan, &mut ctx, on_batch);
+        let result = run();
         match &result {
             Ok(_) => {
                 span.observe(&series.latency_us);
@@ -665,32 +658,8 @@ impl Database {
         result
     }
 
-    /// Execute a statement inside an existing transaction (used by sessions
-    /// and by the concurrent runners).
-    pub fn execute_in(
-        &self,
-        sql: &str,
-        txn: &mut Transaction,
-        recorder: Option<&dyn OuRecorder>,
-    ) -> DbResult<QueryResult> {
-        let stmt = parse(sql)?;
-        if matches!(
-            stmt,
-            Statement::CreateTable { .. }
-                | Statement::DropTable { .. }
-                | Statement::DropIndex { .. }
-                | Statement::Analyze { .. }
-        ) {
-            return Err(DbError::Plan("DDL is autocommit-only".into()));
-        }
-        self.tap_statement(&stmt, sql);
-        let plan = Planner::new(&self.catalog).plan(&stmt)?;
-        self.execute_plan_in(&plan, txn, recorder)
-    }
-
-    /// Handle statements that bypass the planner. Returns `Some` when the
-    /// statement was DDL handled here.
-    fn try_handle_ddl(&self, stmt: &Statement) -> DbResult<Option<QueryResult>> {
+    /// Apply a statement that bypasses the planner (see [`Resolved::Ddl`]).
+    fn apply_ddl(&self, stmt: &Statement) -> DbResult<()> {
         match stmt {
             Statement::CreateTable { name, columns } => {
                 self.check_wal_writable()?;
@@ -729,14 +698,14 @@ impl Database {
                         })
                         .collect(),
                 })?;
-                Ok(Some(QueryResult::default()))
+                Ok(())
             }
             Statement::DropTable { name } => {
                 self.check_wal_writable()?;
                 let id = self.catalog.get(name)?.table.id.0;
                 self.catalog.drop_table(name)?;
                 self.log_ddl(&LogRecord::DropTable { table_id: id })?;
-                Ok(Some(QueryResult::default()))
+                Ok(())
             }
             Statement::DropIndex { name, table } => {
                 self.check_wal_writable()?;
@@ -746,18 +715,19 @@ impl Database {
                     table_id: entry.table.id.0,
                     name: name.clone(),
                 })?;
-                Ok(Some(QueryResult::default()))
+                Ok(())
             }
             Statement::Analyze { table } => {
                 let entry = self.catalog.get(table)?;
                 entry.analyze(self.txns.now());
-                Ok(Some(QueryResult::default()))
+                Ok(())
             }
-            _ => Ok(None),
+            other => Err(DbError::Plan(format!("{other:?} is not engine DDL"))),
         }
     }
 
-    /// Recompute statistics for every table.
+    /// Recompute statistics for every table (and drop the plans built on
+    /// the old ones).
     pub fn analyze_all(&self) {
         let now = self.txns.now();
         for name in self.catalog.table_names() {
@@ -765,6 +735,7 @@ impl Database {
                 entry.analyze(now);
             }
         }
+        self.invalidate_plan_cache();
     }
 
     /// Stop background threads. Registered [`BackgroundTask`]s (the
@@ -964,11 +935,12 @@ mod tests {
             .unwrap()
             .rows;
         assert!(!want.is_empty());
+        let mut session = db.session();
         for batch_size in [1usize, 3, 1024] {
             db.set_batch_size(batch_size);
             let mut got: Vec<Vec<Value>> = Vec::new();
             let mut batches = 0usize;
-            let n = db
+            let n = session
                 .execute_streaming("SELECT a FROM t WHERE b = 1 ORDER BY a", None, &mut |b| {
                     batches += 1;
                     got.extend(b.rows.iter().map(|r| r.as_ref().clone()));
@@ -984,7 +956,7 @@ mod tests {
         // DML and DDL run through the streaming entry point too, without
         // producing batches.
         let mut calls = 0usize;
-        let n = db
+        let n = session
             .execute_streaming("UPDATE t SET b = 9 WHERE a = 0", None, &mut |_| {
                 calls += 1;
                 Ok(())

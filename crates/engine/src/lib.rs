@@ -15,7 +15,7 @@ pub mod session;
 pub mod tasks;
 
 pub use config::{DatabaseConfig, Knobs};
-pub use database::Database;
+pub use database::{Database, TxnScope};
 pub use health::{DegradedReason, HealthState, HealthTracker};
 pub use recovery::{recover, recover_with, RecoveryOptions, RecoveryReport};
 pub use session::Session;

@@ -93,7 +93,7 @@ impl EngineMetrics {
             sessions: registry.counter("mb2_sessions_total", "Sessions opened."),
             plan_cache_hits: registry.counter(
                 "mb2_plan_cache_hits_total",
-                "prepare_cached lookups answered from the plan cache.",
+                "Plan-cache lookups answered from the cache (admission pricing and statement resolution).",
             ),
             plan_cache_misses: registry.counter(
                 "mb2_plan_cache_misses_total",

@@ -1,11 +1,10 @@
 //! Sessions: multi-statement transactions over the SQL interface.
 
 use mb2_common::{DbError, DbResult};
-use mb2_exec::{OuRecorder, QueryResult};
-use mb2_sql::{parse, Statement};
+use mb2_exec::{Batch, OuRecorder, QueryResult};
 use mb2_txn::Transaction;
 
-use crate::database::Database;
+use crate::database::{collect, Database, Resolved, TxnScope};
 
 /// A client session with optional explicit transaction scope.
 pub struct Session<'db> {
@@ -24,70 +23,48 @@ impl<'db> Session<'db> {
 
     /// Execute a statement, honoring BEGIN/COMMIT/ROLLBACK.
     pub fn execute(&mut self, sql: &str) -> DbResult<QueryResult> {
-        self.execute_recorded(sql, None)
-    }
-
-    pub fn execute_recorded(
-        &mut self,
-        sql: &str,
-        recorder: Option<&dyn OuRecorder>,
-    ) -> DbResult<QueryResult> {
-        let stmt = parse(sql)?;
-        match stmt {
-            Statement::Begin => {
-                if self.txn.is_some() {
-                    return Err(DbError::Plan("nested BEGIN".into()));
-                }
-                self.txn = Some(self.db.begin());
-                Ok(QueryResult::default())
-            }
-            Statement::Commit => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| DbError::Plan("COMMIT outside a transaction".into()))?;
-                txn.commit()?;
-                Ok(QueryResult::default())
-            }
-            Statement::Rollback => {
-                let txn = self
-                    .txn
-                    .take()
-                    .ok_or_else(|| DbError::Plan("ROLLBACK outside a transaction".into()))?;
-                txn.abort();
-                Ok(QueryResult::default())
-            }
-            _ => match self.txn.as_mut() {
-                Some(txn) => self.db.execute_in(sql, txn, recorder),
-                None => self.db.execute_recorded(sql, recorder),
-            },
-        }
+        collect(|sink| self.execute_streaming(sql, None, sink))
     }
 
     /// Execute a statement, streaming result batches to `on_batch` instead
-    /// of materializing them. Honors the session's open transaction.
-    /// Transaction control and DDL take the materializing path (they
-    /// produce no result rows). Returns rows streamed / rows affected.
+    /// of materializing them, in the session's open transaction or in
+    /// autocommit. The session's one entry: the statement is resolved once
+    /// by the engine, transaction control is applied here, and everything
+    /// else runs through the engine's plan-level core. Returns rows
+    /// streamed / rows affected (0 for transaction control and DDL).
     pub fn execute_streaming(
         &mut self,
         sql: &str,
         recorder: Option<&dyn OuRecorder>,
-        on_batch: &mut dyn FnMut(mb2_exec::Batch) -> DbResult<()>,
+        on_batch: &mut dyn FnMut(Batch) -> DbResult<()>,
     ) -> DbResult<usize> {
-        let stmt = parse(sql)?;
-        match stmt {
-            Statement::Begin | Statement::Commit | Statement::Rollback => self
-                .execute_recorded(sql, recorder)
-                .map(|r| r.rows_affected),
-            _ => match self.txn.as_mut() {
-                Some(txn) => {
-                    let plan = mb2_sql::Planner::new(self.db.catalog()).plan(&stmt)?;
-                    self.db
-                        .execute_plan_streaming_in(&plan, txn, recorder, on_batch)
+        match self.db.resolve(sql)? {
+            Resolved::Begin => {
+                if self.txn.is_some() {
+                    return Err(DbError::Plan("nested BEGIN".into()));
                 }
-                None => self.db.execute_streaming(sql, recorder, on_batch),
-            },
+                self.txn = Some(self.db.begin());
+            }
+            Resolved::Commit => {
+                self.txn
+                    .take()
+                    .ok_or_else(|| DbError::Plan("COMMIT outside a transaction".into()))?
+                    .commit()?;
+            }
+            Resolved::Rollback => self
+                .txn
+                .take()
+                .ok_or_else(|| DbError::Plan("ROLLBACK outside a transaction".into()))?
+                .abort(),
+            resolved => {
+                let scope = match self.txn.as_mut() {
+                    Some(txn) => TxnScope::In(txn),
+                    None => TxnScope::Autocommit,
+                };
+                return self.db.run_resolved(resolved, scope, recorder, on_batch);
+            }
         }
+        Ok(0)
     }
 
     /// Abort any open transaction (also happens on drop).

@@ -33,10 +33,11 @@ pub trait BackgroundTask: Send + Sync {
 
 /// Observer of every DML/SELECT statement the engine executes, installed
 /// with [`Database::set_statement_tap`]. This is how the autopilot's
-/// workload forecaster sees live traffic: each successful parse of a
-/// SELECT/INSERT/UPDATE/DELETE (autocommit, in-transaction, or
-/// streaming) is reported once, before execution. DDL and transaction
-/// control are not reported.
+/// workload forecaster sees live traffic: each SELECT/INSERT/UPDATE/DELETE
+/// text the statement resolver turns into a plan (cached or fresh;
+/// autocommit or in a transaction; materialized or streamed) is reported
+/// once, before execution. DDL, transaction control and pre-planned
+/// `execute_plan*` calls are not reported.
 ///
 /// Implementations must be cheap and non-blocking — the call sits on
 /// every statement's hot path.

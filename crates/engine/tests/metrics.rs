@@ -1,6 +1,11 @@
 //! End-to-end observability: run real SQL against a [`Database`] and assert
 //! the Prometheus text output and JSON snapshot reflect it.
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use mb2_common::fault::{points, FaultMode};
+use mb2_common::FaultInjector;
 use mb2_engine::{Database, DatabaseConfig};
 
 fn sample_value(text: &str, sample: &str) -> u64 {
@@ -78,8 +83,8 @@ fn ou_recorder_populates_runtime_histograms() {
         db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
     }
     let recorder = db.obs_recorder().clone();
-    db.execute_recorded("SELECT * FROM t WHERE a < 5", Some(recorder.as_ref()))
-        .unwrap();
+    let plan = db.prepare("SELECT * FROM t WHERE a < 5").unwrap();
+    db.execute_plan(&plan, Some(recorder.as_ref())).unwrap();
 
     let text = db.metrics_prometheus();
     assert!(sample_value(&text, "mb2_ou_invocations_total{ou=\"seq_scan\"}") >= 1);
@@ -178,4 +183,69 @@ fn plan_cache_hits_misses_and_ddl_invalidation() {
     // Cached plans execute correctly.
     let result = db.execute_plan(&p3, None).unwrap();
     assert_eq!(result.rows.len(), 1);
+}
+
+/// A database with fault injection and a one-row table `t`, plus the
+/// `kind="update"` latency histogram and error counter.
+fn update_series_db() -> (
+    Arc<FaultInjector>,
+    Database,
+    Arc<mb2_engine::obs::Histogram>,
+    Arc<mb2_engine::obs::Counter>,
+) {
+    let faults = Arc::new(FaultInjector::new(7));
+    let db = Database::new(DatabaseConfig {
+        faults: Some(faults.clone()),
+        ..DatabaseConfig::default()
+    })
+    .unwrap();
+    db.execute("CREATE TABLE t (a INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    let kind = [("kind", "update")];
+    let latency = db
+        .metrics()
+        .histogram_with("mb2_stmt_latency_us", &kind, "");
+    let errors = db
+        .metrics()
+        .counter_with("mb2_stmt_errors_total", &kind, "");
+    (faults, db, latency, errors)
+}
+
+/// A streamed autocommit UPDATE — the wire path.
+fn streamed_update(db: &Database) -> mb2_common::DbResult<usize> {
+    db.session()
+        .execute_streaming("UPDATE t SET a = a + 1", None, &mut |_| Ok(()))
+}
+
+/// Streamed autocommit latency spans the commit: a stalled commit shows in
+/// `mb2_stmt_latency_us`.
+#[test]
+fn streamed_autocommit_latency_includes_the_commit() {
+    let (faults, db, latency, _) = update_series_db();
+    let stall = Duration::from_millis(20);
+    faults.arm_delay(points::TXN_COMMIT, stall);
+    let (count, sum) = (latency.count(), latency.sum());
+    assert_eq!(streamed_update(&db).unwrap(), 1);
+    assert_eq!(latency.count(), count + 1);
+    let sample_us = latency.sum() - sum;
+    assert!(
+        sample_us >= stall.as_micros() as u64,
+        "autocommit latency {sample_us}us left out the {stall:?} commit stall"
+    );
+}
+
+/// A failed commit of a streamed autocommit statement is a statement
+/// error.
+#[test]
+fn streamed_autocommit_commit_failure_is_a_statement_error() {
+    let (faults, db, latency, errors) = update_series_db();
+    faults.arm(points::TXN_COMMIT, FaultMode::Nth(1));
+    let (count, before) = (latency.count(), errors.get());
+    assert!(streamed_update(&db).is_err(), "the armed commit must fail");
+    assert_eq!(
+        errors.get(),
+        before + 1,
+        "errors{{kind=\"update\"}} missed it"
+    );
+    assert_eq!(latency.count(), count, "failures record no latency");
 }

@@ -752,31 +752,23 @@ fn handle_query(
         .set(shared.sched.outstanding_us());
     let started = Instant::now();
 
-    // Operator commands answered by the server itself (no SQL layer, no
-    // wire changes — plain Varchar row batches).
-    if let Some(rows) = operator_command(shared, sql) {
-        if !rows.is_empty() {
-            wire::write_frame(stream, &Frame::RowBatch { rows: rows.clone() })?;
+    // Operator commands are answered by the server itself (no SQL layer, no
+    // wire changes — plain Varchar row batches); everything else takes the
+    // session's one statement path.
+    let result = match operator_command(shared, sql) {
+        Some(rows) if rows.is_empty() => Ok(0),
+        Some(rows) => {
+            let n = rows.len();
+            wire::write_frame(stream, &Frame::RowBatch { rows }).map(|()| n)
         }
-        shared
-            .metrics
-            .request_us
-            .record(started.elapsed().as_micros() as u64);
-        return wire::write_frame(
-            stream,
-            &Frame::Done {
-                rows: rows.len() as u64,
-            },
-        );
-    }
-
-    let result = session.execute_streaming(sql, None, &mut |batch| {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let rows: Vec<Vec<Value>> = batch.rows.iter().map(|r| r.as_ref().clone()).collect();
-        wire::write_frame(stream, &Frame::RowBatch { rows })
-    });
+        None => session.execute_streaming(sql, None, &mut |batch| {
+            if batch.is_empty() {
+                return Ok(());
+            }
+            let rows: Vec<Vec<Value>> = batch.rows.iter().map(|r| r.as_ref().clone()).collect();
+            wire::write_frame(stream, &Frame::RowBatch { rows })
+        }),
+    };
     match result {
         Ok(n) => {
             shared

@@ -103,7 +103,10 @@ fn show_shards_reports_per_shard_storage_over_the_wire() {
 
 #[test]
 fn show_blocks_reports_sealed_columnar_state_over_the_wire() {
-    let db = Arc::new(Database::new(DatabaseConfig::default()).expect("database"));
+    // One shard, so the table reports exactly one block row on any host.
+    let mut config = DatabaseConfig::default();
+    config.knobs.shard_count = 1;
+    let db = Arc::new(Database::new(config).expect("database"));
     let server = Server::start(db.clone(), ServerConfig::default()).expect("server start");
     let mut client = Client::connect(server.local_addr().to_string()).expect("connect");
 
