@@ -176,25 +176,27 @@ impl Value {
     }
 
     /// Hash for use as a join/aggregation key (consistent with `cmp_total`).
+    ///
+    /// `cmp_total` equates Int with Float by f64 value and Int with
+    /// Timestamp by i64 value, so every numeric value hashes by its f64
+    /// value: an Int = Float join key must land in the bucket it matches.
     pub fn hash_key<H: Hasher>(&self, state: &mut H) {
+        let numeric = |v: f64, state: &mut H| {
+            // Normalize -0.0 / NaN so equal keys hash equally.
+            let bits = if v == 0.0 {
+                0u64
+            } else if v.is_nan() {
+                u64::MAX
+            } else {
+                v.to_bits()
+            };
+            1u8.hash(state);
+            bits.hash(state);
+        };
         match self {
             Value::Null => 0u8.hash(state),
-            Value::Int(v) | Value::Timestamp(v) => {
-                1u8.hash(state);
-                v.hash(state);
-            }
-            Value::Float(v) => {
-                // Normalize -0.0 / NaN so equal keys hash equally.
-                let bits = if *v == 0.0 {
-                    0u64
-                } else if v.is_nan() {
-                    u64::MAX
-                } else {
-                    v.to_bits()
-                };
-                2u8.hash(state);
-                bits.hash(state);
-            }
+            Value::Int(v) | Value::Timestamp(v) => numeric(*v as f64, state),
+            Value::Float(v) => numeric(*v, state),
             Value::Varchar(s) => {
                 3u8.hash(state);
                 s.hash(state);
@@ -319,6 +321,14 @@ mod tests {
     fn nulls_sort_first_and_equal() {
         assert_eq!(Value::Null.cmp_total(&Value::Null), Ordering::Equal);
         assert_eq!(Value::Null.cmp_total(&Value::Int(i64::MIN)), Ordering::Less);
+    }
+
+    #[test]
+    fn numeric_values_that_compare_equal_hash_equal() {
+        assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.0)));
+        assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Timestamp(3)));
+        assert_eq!(hash_of(&Value::Int(0)), hash_of(&Value::Float(-0.0)));
+        assert_ne!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.5)));
     }
 
     #[test]

@@ -883,6 +883,8 @@ impl JoinTable {
     /// keys (the common case) borrow the probe row's value in place via
     /// `Vec<Value>: Borrow<[Value]>`; multi-column keys refill one scratch
     /// buffer per probe loop instead of allocating a fresh `Vec` per row.
+    /// A NULL key matches nothing (`NULL = NULL` is not true), although the
+    /// build side buckets NULL keys like any other value.
     #[inline]
     fn matches(
         &self,
@@ -890,6 +892,9 @@ impl JoinTable {
         row: &Tuple,
         scratch: &mut Vec<Value>,
     ) -> Option<&Vec<usize>> {
+        if keys.iter().any(|&k| row[k].is_null()) {
+            return None;
+        }
         if let [k] = keys {
             self.map.get(std::slice::from_ref(&row[*k]))
         } else {

@@ -160,7 +160,6 @@ impl Transaction {
         }
         let _ = self.mgr.clone().finish_abort(&mut self);
         self.state = TxnState::Aborted;
-        std::mem::forget(self); // cleanup already done
     }
 }
 
@@ -462,9 +461,8 @@ impl TxnManager {
         };
         self.deregister(txn.read_ts);
         self.stats.commits.inc();
+        // Committed: Drop skips its abort path and frees the write set.
         txn.state = TxnState::Committed;
-        txn.writes.clear();
-        std::mem::forget(txn); // cleanup done; skip Drop's abort path
         Ok(commit_ts)
     }
 
@@ -532,6 +530,23 @@ mod tests {
         txn.commit().unwrap();
         let reader = mgr.begin();
         assert_eq!(reader.read(&t, slot).unwrap()[0], Value::Int(7));
+    }
+
+    /// Commit and abort drop the transaction for real: a handle skipped by
+    /// `mem::forget` leaked its write-set buffer and a manager reference on
+    /// every writing transaction.
+    #[test]
+    fn finished_transactions_release_their_resources() {
+        let mgr = TxnManager::new(None);
+        let t = table();
+        let mut txn = mgr.begin();
+        txn.insert(&t, tup(1)).unwrap();
+        txn.commit().unwrap();
+        let mut txn = mgr.begin();
+        txn.insert(&t, tup(2)).unwrap();
+        txn.abort();
+        assert_eq!(Arc::strong_count(&mgr), 1);
+        assert_eq!(mgr.active_count(), 0);
     }
 
     #[test]

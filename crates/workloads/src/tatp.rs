@@ -169,16 +169,66 @@ mod tests {
         }
     }
 
+    /// Every scan in a plan as (table, index name or `None` for a SeqScan).
+    fn scans(node: &mb2_sql::PlanNode, out: &mut Vec<(String, Option<String>)>) {
+        match node {
+            mb2_sql::PlanNode::SeqScan { table, .. } => out.push((table.clone(), None)),
+            mb2_sql::PlanNode::IndexScan { table, index, .. } => {
+                out.push((table.clone(), Some(index.clone())))
+            }
+            _ => {}
+        }
+        for c in node.children() {
+            scans(c, out);
+        }
+    }
+
     #[test]
     fn get_new_destination_joins_on_index() {
         let t = Tatp { subscribers: 200 };
         let db = Database::open();
         t.load(&db).unwrap();
+        // The same data without any index, for the reference answer.
+        let bare = Database::open();
+        t.load(&bare).unwrap();
+        for (index, table) in [
+            ("tatp_sub_pk", "tatp_subscriber"),
+            ("tatp_ai_pk", "tatp_access_info"),
+            ("tatp_sf_pk", "tatp_special_facility"),
+            ("tatp_cf_pk", "tatp_call_forwarding"),
+        ] {
+            bare.execute(&format!("DROP INDEX {index} ON {table}"))
+                .unwrap();
+        }
         let mut rng = Prng::new(6);
-        let sql = &t.sample_transaction("get_new_destination", &mut rng)[0];
-        let r = db.execute(sql).unwrap();
-        // May or may not match rows, but must execute without error.
-        assert!(r.rows.len() <= 2);
+        let mut matched = 0;
+        for _ in 0..40 {
+            let sql = &t.sample_transaction("get_new_destination", &mut rng)[0];
+            let mut found = Vec::new();
+            scans(&db.prepare(sql).unwrap(), &mut found);
+            found.sort();
+            assert_eq!(
+                found,
+                vec![
+                    (
+                        "tatp_call_forwarding".to_string(),
+                        Some("tatp_cf_pk".to_string())
+                    ),
+                    (
+                        "tatp_special_facility".to_string(),
+                        Some("tatp_sf_pk".to_string())
+                    ),
+                ],
+                "{sql}"
+            );
+            let mut rows = db.execute(sql).unwrap().rows;
+            let mut expected = bare.execute(sql).unwrap().rows;
+            rows.sort();
+            expected.sort();
+            assert_eq!(rows, expected, "{sql}");
+            matched += rows.len();
+        }
+        assert!(matched > 0, "no sample matched a row; the check is vacuous");
     }
 
     #[test]

@@ -387,6 +387,54 @@ mod tests {
         assert!(r.rows.len() <= 25);
     }
 
+    /// The join tree as `(build ⋈ probe)` over table names; other nodes
+    /// are transparent.
+    fn join_tree(node: &mb2_sql::PlanNode) -> String {
+        match node {
+            mb2_sql::PlanNode::HashJoin { build, probe, .. } => {
+                format!("({} ⋈ {})", join_tree(build), join_tree(probe))
+            }
+            mb2_sql::PlanNode::SeqScan { table, .. } => table.clone(),
+            mb2_sql::PlanNode::IndexScan { table, index, .. } => format!("{table}[{index}]"),
+            other => other
+                .children()
+                .into_iter()
+                .map(join_tree)
+                .collect::<Vec<_>>()
+                .join(" × "),
+        }
+    }
+
+    /// Q5 is the one benchmark query the planner's equality closure
+    /// rewrites: `n_regionkey = r_regionkey AND r_regionkey = K` derives
+    /// `n_regionkey = K`, which shrinks the `nation` estimate from 25 rows
+    /// to 5. The join order, checked at the benchmark's scale, stays the
+    /// one planned without the derived bound.
+    #[test]
+    fn q5_join_order_is_pinned() {
+        let t = Tpch::with_scale(0.5);
+        let db = Database::open();
+        t.load(&db).unwrap();
+        let (name, sql) = &t.fixed_queries()[2];
+        assert_eq!(name, "q5");
+        let plan = db.prepare(sql).unwrap();
+        assert_eq!(
+            join_tree(&plan),
+            "(((((region ⋈ nation) ⋈ supplier) ⋈ h_customer) ⋈ h_orders) ⋈ lineitem)",
+            "{}",
+            plan.explain()
+        );
+        fn scan_rows(node: &mb2_sql::PlanNode, name: &str) -> Option<f64> {
+            match node {
+                mb2_sql::PlanNode::SeqScan { table, est, .. } if table == name => {
+                    Some(est.rows_out)
+                }
+                _ => node.children().into_iter().find_map(|c| scan_rows(c, name)),
+            }
+        }
+        assert_eq!(scan_rows(&plan, "nation"), Some(5.0));
+    }
+
     #[test]
     fn fixed_queries_are_deterministic() {
         let t = tiny();
