@@ -91,12 +91,11 @@ pub struct Knobs {
     /// Fig. 9a software-update emulation: spin 1µs per this many join-hash
     /// -table inserts (0 = off).
     pub jht_sleep_every: usize,
-    /// Rows per batch in the pull-based execution pipeline. `1` reproduces
-    /// the legacy tuple-at-a-time engine (every tuple traverses the full
-    /// pull chain; scan predicates evaluate in a separate operator above
-    /// the scan); sizes ≥ 2 run vectorized with predicate pushdown into
-    /// the scan. Per-OU work features are identical either way. Clamped to
-    /// at least 1.
+    /// Rows per batch in the pull-based execution pipeline (an OU
+    /// feature). Every size runs the same operators with the scan
+    /// predicate pushed into the scan; `1` pulls one tuple per call.
+    /// Per-OU work features are identical across sizes. Clamped to at
+    /// least 1.
     pub batch_size: usize,
     /// Workers in the shared intra-query execution pool. `1` (serial) skips
     /// the pool entirely — today's single-thread pipeline. Sizes ≥ 2 run

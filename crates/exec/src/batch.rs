@@ -1,4 +1,4 @@
-//! Pull-based batch execution pipeline.
+//! Pull-based batch execution pipeline: the serial driver.
 //!
 //! A [`Batch`] of up to `ExecContext::batch_size` rows flows through a
 //! `BatchOperator` tree. Operators pull from their children with
@@ -7,9 +7,15 @@
 //! the MVCC version chains, so a tuple is only deep-cloned at the client
 //! boundary (or when an operator genuinely builds a new row).
 //!
+//! The per-row loops of the scan, Filter/Project, hash-join and aggregation
+//! OUs live in [`crate::kernel`]. Operators here call them on each pulled
+//! batch; where an input subtree is a parallel leaf chain, the same
+//! operator hands the same kernels to the morsel-parallel driver
+//! ([`crate::parallel`]) instead and consumes its ordered gather.
+//!
 //! OU accounting: each operator owns one `OpSpan` per OU it implements.
 //! A span folds per-batch work into a single `OuTracker` via pause/resume
-//! sections, so the recorded tuple/byte features are identical to the totals
+//! sections (and worker accounts via `OpSpan::add`), so the recorded tuple/byte features are identical to the totals
 //! the old materialize-everything executor produced per operator; only
 //! elapsed time changes (it shrinks — that is the point). Spans are recorded
 //! exactly once by `close`, which the pipeline driver calls after the root
@@ -21,27 +27,30 @@
 //! fully on first pull; those edges are exactly the OU span boundaries the
 //! paper's models key on, so batching never blurs them.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mb2_common::types::{tuple_size_bytes, Tuple};
 use mb2_common::{DbError, DbResult, OuKind, Value};
 use mb2_index::Index;
-use mb2_sql::plan::{AggSpec, OutputSink, ScanRange, SortKey};
-use mb2_sql::{AggFunc, PlanNode};
+use mb2_sql::plan::{OutputSink, ScanRange, SortKey};
+use mb2_sql::PlanNode;
 use mb2_storage::{SlotId, Table, SHARD_UNIT_SLOTS};
 
-use crate::columnar::{self, BlockPredicate};
 use crate::compile::Evaluator;
 use crate::context::ExecContext;
 use crate::executor::subtree_size;
-use crate::ops::{compiled, spin_us};
-use crate::parallel::{self, ChainSpec, ExecPool, ParStage, ParallelRun, SpanAcct, WorkerAcct};
-use crate::tracker::OuTracker;
+use crate::kernel::{
+    elapsed_us, merge_groups, AggKernel, AggState, Groups, JoinKernel, JoinTable, ScanAcct,
+    ScanKernel, Stage,
+};
+use crate::ops::compiled;
+use crate::parallel::{self, ChainSpec, ExecPool, ParallelRun, WorkerAcct};
+use crate::tracker::{tracking, OpSpan, WorkCounts};
 
-/// Default rows per batch. 1 degenerates to tuple-at-a-time execution.
+/// Default rows per batch (the `batch_size` knob). Every size runs the same
+/// operators and kernels; 1 pulls one row per call.
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// Upper bound on per-batch buffer pre-allocation (callers may pass huge
@@ -58,6 +67,13 @@ pub struct Batch {
 }
 
 impl Batch {
+    fn of(rows: Vec<Arc<Tuple>>) -> Batch {
+        Batch {
+            rows,
+            slots: Vec::new(),
+        }
+    }
+
     fn with_capacity(n: usize) -> Batch {
         Batch {
             rows: Vec::with_capacity(n.min(MAX_PREALLOC)),
@@ -71,86 +87,6 @@ impl Batch {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-}
-
-/// Per-operator OU span. Work from every batch folds into one tracker; the
-/// measurement is recorded exactly once, at `finish`. Inactive spans (no
-/// recorder, no hardware pacing) cost two branches per batch.
-struct OpSpan {
-    id: u32,
-    ou: OuKind,
-    tracker: Option<OuTracker>,
-    active: bool,
-    recorded: bool,
-}
-
-impl OpSpan {
-    fn new(ctx: &ExecContext<'_>, id: u32, ou: OuKind) -> OpSpan {
-        OpSpan {
-            id,
-            ou,
-            tracker: None,
-            active: ctx.recorder.is_some() || ctx.hw.slowdown() > 1.0,
-
-            recorded: false,
-        }
-    }
-
-    /// Whether work counters need to be maintained at all.
-    fn active(&self) -> bool {
-        self.active
-    }
-
-    /// Open a timed section covering this batch's work.
-    fn enter(&mut self) {
-        if self.active {
-            self.tracker
-                .get_or_insert_with(OuTracker::start_paused)
-                .resume();
-        }
-    }
-
-    /// Close the current timed section (downstream operators run next).
-    fn exit(&mut self) {
-        if let Some(t) = self.tracker.as_mut() {
-            t.pause();
-        }
-    }
-
-    /// Fold work counts into the span (with or without an open section).
-    fn work(&mut self, f: impl FnOnce(&mut OuTracker)) {
-        if self.active {
-            f(self.tracker.get_or_insert_with(OuTracker::start_paused));
-        }
-    }
-
-    /// Fold a worker-side account (work counts + wall time) into the span.
-    /// Parallel operators call this once per chain run, at close, so the
-    /// recorded measurement sums every worker's contribution.
-    fn absorb(&mut self, acct: &SpanAcct) {
-        if self.active {
-            self.tracker
-                .get_or_insert_with(OuTracker::start_paused)
-                .absorb(&acct.work, acct.elapsed_us);
-        }
-    }
-
-    /// Record the folded measurement. Idempotent; an operator that was never
-    /// pulled (LIMIT 0 upstream cut) still records a zero-work span so the
-    /// recorder sees the full `(node id, OU)` set of the plan.
-    fn finish(&mut self, ctx: &ExecContext<'_>) {
-        if !self.active || self.recorded {
-            return;
-        }
-        self.recorded = true;
-        let tracker = self.tracker.take().unwrap_or_else(OuTracker::start_paused);
-        let work = tracker.work;
-        let metrics = tracker.finish(&ctx.hw);
-        if let Some(r) = ctx.recorder {
-            r.record_work(self.id, self.ou, work);
-            r.record(self.id, self.ou, metrics);
-        }
     }
 }
 
@@ -173,198 +109,62 @@ type BoxedOp = Box<dyn BatchOperator>;
 // Scans
 // ----------------------------------------------------------------------
 
-/// Sequential scan with the filter pushed into the visibility visitor:
-/// filtered-out tuples are never cloned, and the scan suspends mid-heap as
-/// soon as the batch fills (resumable via `scan_visible_from`).
+/// Sequential scan: the serial driver of the scan kernel, one batch per
+/// pull. Filtered-out tuples are never cloned, and the scan suspends
+/// mid-heap as soon as the batch fills.
 ///
-/// With the `columnar_enabled` knob on (`block_pred` set), the scan serves
-/// every *clean sealed unit* wholesale from its columnar block — vectorized
-/// predicate masks, zone-map skipping, late materialization (Block/Scan OU)
-/// — and walks version chains only for the dirty/unsealed remainder, so
-/// the emitted row stream stays byte-identical to the pure row path.
+/// With the `columnar_enabled` knob on, the kernel serves every *clean
+/// sealed unit* wholesale from its columnar block — vectorized predicate
+/// masks, zone-map skipping, late materialization (Block/Scan OU) — and
+/// walks version chains only for the dirty/unsealed remainder, so the
+/// emitted row stream stays byte-identical to the pure row path.
 struct SeqScanOp {
-    table: Arc<Table>,
-    filter: Option<Evaluator>,
-    filter_ops: u64,
+    kernel: ScanKernel,
     want_slots: bool,
     pos: usize,
     done: bool,
-    scan_span: OpSpan,
-    filter_span: Option<OpSpan>,
-    /// `Some` iff this scan may take the columnar fast path.
-    block_pred: Option<BlockPredicate>,
-    block_span: Option<OpSpan>,
+    /// The kernel's work and time over every pull; folded into `spans` at
+    /// close.
+    acct: ScanAcct,
+    spans: Vec<OpSpan>,
     /// Block-path rows beyond the current batch's budget (a block emits a
-    /// whole unit's survivors at once); drained first on the next pull.
-    carry: Vec<Arc<Tuple>>,
-    carry_cursor: usize,
+    /// whole unit's survivors at once).
+    surplus: Surplus,
 }
 
 impl BatchOperator for SeqScanOp {
     fn next_batch(
         &mut self,
-        ctx: &mut ExecContext<'_>,
+        _ctx: &mut ExecContext<'_>,
         max_rows: usize,
     ) -> DbResult<Option<Batch>> {
         let max = max_rows.max(1);
-        let mut batch = Batch::with_capacity(max);
-        // Carried-over block rows precede anything newly scanned.
-        while batch.rows.len() < max && self.carry_cursor < self.carry.len() {
-            batch.rows.push(Arc::clone(&self.carry[self.carry_cursor]));
-            self.carry_cursor += 1;
-        }
-        if self.carry_cursor >= self.carry.len() {
-            self.carry.clear();
-            self.carry_cursor = 0;
-        }
-        let track = self.scan_span.active();
-        let want_slots = self.want_slots;
-        let mut scanned = 0u64;
-        let mut scanned_bytes = 0u64;
-        while batch.rows.len() < max && !self.done {
-            // Columnar fast path: a clean sealed block is a complete
-            // snapshot of its unit (writers mark it dirty before their
-            // commit timestamp is drawn), so the whole unit is served
-            // without touching a chain lock. Dirty/unsealed units fall
-            // through to the row path, whose per-slot block fallback
-            // handles sealed rows among revived chains.
-            if let Some(pred) = &self.block_pred {
-                if self.pos.is_multiple_of(SHARD_UNIT_SLOTS) {
-                    let unit = self.pos / SHARD_UNIT_SLOTS;
-                    if let Some(block) = self.table.sealed_unit(unit).filter(|b| !b.is_dirty()) {
-                        let span = self.block_span.as_mut().expect("columnar scan block span");
-                        span.enter();
-                        let carry = &mut self.carry;
-                        let out = columnar::scan_block(
-                            &block,
-                            pred,
-                            self.filter.as_ref(),
-                            ctx.txn.read_ts(),
-                            |row| {
-                                if batch.rows.len() < max {
-                                    batch.rows.push(Arc::clone(row));
-                                } else {
-                                    carry.push(Arc::clone(row));
-                                }
-                            },
-                        );
-                        let out = match out {
-                            Ok(o) => o,
-                            Err(e) => {
-                                span.exit();
-                                return Err(e);
-                            }
-                        };
-                        span.work(|t| {
-                            t.add_tuples(out.swept);
-                            t.add_bytes(out.bytes);
-                            t.add_allocated(out.bytes);
-                        });
-                        span.exit();
-                        if out.zone_skipped {
-                            self.table.note_zone_skip(unit);
-                        }
-                        if let Some(fspan) = self.filter_span.as_mut() {
-                            // Predicate work over swept rows lands on the
-                            // filter span exactly as the fused row path
-                            // accounts it (zone-skipped blocks swept 0).
-                            let ops = self.filter_ops;
-                            fspan.work(|t| {
-                                t.add_tuples(out.swept);
-                                t.add_comparisons(out.swept * ops);
-                            });
-                        }
-                        self.pos += SHARD_UNIT_SLOTS;
-                        continue;
-                    }
-                }
-            }
-            // Row path: up to the next unit boundary in columnar mode (so
-            // the next iteration can reconsider a block), unbounded
-            // otherwise.
-            let seg_end = if self.block_pred.is_some() {
-                (self.pos / SHARD_UNIT_SLOTS + 1) * SHARD_UNIT_SLOTS
-            } else {
-                usize::MAX
-            };
-            self.scan_span.enter();
-            let filter = self.filter.as_ref();
-            let mut err: Option<DbError> = None;
-            self.pos = self.table.scan_visible_range(
-                self.pos,
-                seg_end,
-                ctx.txn.read_ts(),
-                ctx.txn.id(),
-                |slot, tuple| {
-                    if track {
-                        scanned += 1;
-                        scanned_bytes += tuple_size_bytes(tuple) as u64;
-                    }
-                    let keep = match filter {
-                        None => true,
-                        Some(ev) => match ev.eval_bool(tuple) {
-                            Ok(k) => k,
-                            Err(e) => {
-                                err = Some(e);
-                                return false;
-                            }
-                        },
-                    };
-                    if keep {
-                        batch.rows.push(Arc::clone(tuple));
+        let mut rows = self.surplus.start(max);
+        let mut slots = Vec::new();
+        if rows.len() < max && !self.done {
+            let want_slots = self.want_slots;
+            self.done =
+                self.kernel
+                    .scan(&mut self.pos, usize::MAX, &mut self.acct, |slot, row| {
+                        rows.push(Arc::clone(row));
                         if want_slots {
-                            batch.slots.push(slot);
+                            slots.extend(slot);
                         }
-                    }
-                    batch.rows.len() < max
-                },
-            );
-            self.scan_span.exit();
-            if let Some(e) = err {
-                self.flush_row_work(scanned, scanned_bytes);
-                return Err(e);
-            }
-            if batch.rows.len() < max && self.pos < seg_end {
-                // The heap ended inside this segment.
-                self.done = true;
-            }
+                        rows.len() < max
+                    })?;
+            self.surplus.keep(&mut rows, max);
         }
-        self.flush_row_work(scanned, scanned_bytes);
-        if batch.rows.is_empty() && self.done && self.carry.is_empty() {
+        if rows.is_empty() && self.done && self.surplus.is_empty() {
             return Ok(None);
         }
-        Ok(Some(batch))
+        Ok(Some(Batch { rows, slots }))
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.scan_span.finish(ctx);
-        if let Some(span) = self.block_span.as_mut() {
+        for span in &mut self.spans {
+            let acct = self.acct.get(span.ou);
+            span.add(&acct.work, acct.elapsed_us);
             span.finish(ctx);
-        }
-        if let Some(span) = self.filter_span.as_mut() {
-            span.finish(ctx);
-        }
-    }
-}
-
-impl SeqScanOp {
-    /// Fold this pull's row-path work into the scan and (fused) filter
-    /// spans. The fused predicate ran inside the scan section; its *work*
-    /// counts still land on the Arithmetic/Filter span (features are
-    /// preserved; elapsed time legitimately collapses — see DESIGN.md
-    /// "Batch execution model").
-    fn flush_row_work(&mut self, scanned: u64, scanned_bytes: u64) {
-        self.scan_span.work(|t| {
-            t.add_tuples(scanned);
-            t.add_bytes(scanned_bytes);
-            t.add_allocated(scanned_bytes);
-        });
-        if let Some(span) = self.filter_span.as_mut() {
-            let ops = self.filter_ops;
-            span.work(|t| {
-                t.add_tuples(scanned);
-                t.add_comparisons(scanned * ops);
-            });
         }
     }
 }
@@ -480,130 +280,199 @@ impl BatchOperator for IndexScanOp {
 /// the subtree has another shape, or the table is too small to split.
 /// Index scans stay serial: their candidate sets come from one index pass,
 /// not from heap ranges.
-fn par_chain(node: &PlanNode, id: u32, ctx: &ExecContext<'_>) -> DbResult<Option<Arc<ChainSpec>>> {
-    if ctx.pool.is_none() {
+fn par_chain(node: &PlanNode, id: u32, ctx: &ExecContext<'_>) -> DbResult<Option<ParSource>> {
+    let Some(pool) = &ctx.pool else {
+        return Ok(None);
+    };
+    let mut stages = Vec::new();
+    let (mut cur, mut cur_id) = (node, id);
+    while let Some((stage, input)) = Stage::from_plan(cur, compiled(ctx)) {
+        stages.push((cur_id, stage));
+        cur = input;
+        cur_id += 1;
+    }
+    let PlanNode::SeqScan { table, filter, .. } = cur else {
+        return Ok(None);
+    };
+    let entry = ctx.catalog.get(table)?;
+    let total_slots = entry.table.num_slots();
+    let mut morsel_slots = ctx.morsel_slots.max(1);
+    if ctx.columnar {
+        // Unit-align morsels so each sealed block lies inside exactly one
+        // morsel and can be served wholesale.
+        morsel_slots = morsel_slots.div_ceil(SHARD_UNIT_SLOTS) * SHARD_UNIT_SLOTS;
+    }
+    if total_slots.div_ceil(morsel_slots) < 2 {
         return Ok(None);
     }
-    let use_compiled = compiled(ctx);
-    let mut stages: Vec<ParStage> = Vec::new();
-    let mut cur = node;
-    let mut cur_id = id;
-    loop {
-        match cur {
-            PlanNode::Filter {
-                input, predicate, ..
-            } => {
-                stages.push(ParStage::Filter {
-                    id: cur_id,
-                    eval: Evaluator::new(predicate, use_compiled),
-                    ops: predicate.op_count() as u64,
-                });
-                cur = input;
-                cur_id += 1;
-            }
-            PlanNode::Project { input, exprs, .. } => {
-                stages.push(ParStage::Project {
-                    id: cur_id,
-                    evals: exprs
-                        .iter()
-                        .map(|e| Evaluator::new(e, use_compiled))
-                        .collect(),
-                    ops: exprs.iter().map(|e| e.op_count() as u64).sum(),
-                });
-                cur = input;
-                cur_id += 1;
-            }
-            PlanNode::SeqScan { table, filter, .. } => {
-                let entry = ctx.catalog.get(table)?;
-                let total_slots = entry.table.num_slots();
-                let mut morsel_slots = ctx.morsel_slots.max(1);
-                if ctx.columnar {
-                    // Unit-align morsels so each sealed block lies inside
-                    // exactly one morsel and can be served wholesale.
-                    morsel_slots = morsel_slots.div_ceil(SHARD_UNIT_SLOTS) * SHARD_UNIT_SLOTS;
-                }
-                if total_slots.div_ceil(morsel_slots) < 2 {
-                    return Ok(None);
-                }
-                // Stages were collected top-down; workers apply them
-                // scan-upward.
-                stages.reverse();
-                return Ok(Some(Arc::new(ChainSpec {
-                    table: Arc::clone(&entry.table),
-                    read_ts: ctx.txn.read_ts(),
-                    own: ctx.txn.id(),
-                    scan_id: cur_id,
-                    filter: filter.as_ref().map(|f| Evaluator::new(f, use_compiled)),
-                    filter_ops: filter.as_ref().map_or(0, |f| f.op_count()) as u64,
-                    block_pred: ctx
-                        .columnar
-                        .then(|| BlockPredicate::extract(filter.as_ref())),
-                    stages,
-                    track: ctx.recorder.is_some() || ctx.hw.slowdown() > 1.0,
-                    morsel_slots,
-                    total_slots,
-                })));
-            }
-            _ => return Ok(None),
-        }
-    }
-}
-
-/// One `OpSpan` per (node, OU) the chain accounts for — created eagerly so
-/// a chain that never runs (LIMIT 0) still records zero-work spans.
-fn chain_spans(ctx: &ExecContext<'_>, chain: &ChainSpec) -> Vec<OpSpan> {
-    chain
+    // Stages were collected top-down; workers apply them scan-upward.
+    stages.reverse();
+    let chain = Arc::new(ChainSpec {
+        scan: ScanKernel::new(ctx, &entry.table, filter.as_ref(), ctx.columnar),
+        scan_id: cur_id,
+        stages,
+        morsel_slots,
+        total_slots,
+    });
+    let spans = chain
         .span_keys()
-        .into_iter()
         .map(|(id, ou)| OpSpan::new(ctx, id, ou))
-        .collect()
+        .collect();
+    Ok(Some(ParSource {
+        pool: Arc::clone(pool),
+        chain,
+        spans,
+    }))
 }
 
-/// Fold every matching worker account into the chain's spans.
-fn absorb_chain(spans: &mut [OpSpan], acct: &WorkerAcct) {
-    for span in spans {
-        if let Some(a) = acct.get(span.id, span.ou) {
-            span.absorb(a);
+/// A parallel leaf chain as the operator consuming it holds it: the spec
+/// the workers share, the pool that runs it, and one span per (node, OU)
+/// the chain accounts for — created eagerly so a chain that never runs
+/// (LIMIT 0) still records zero-work spans.
+struct ParSource {
+    pool: Arc<ExecPool>,
+    chain: Arc<ChainSpec>,
+    spans: Vec<OpSpan>,
+}
+
+impl ParSource {
+    fn start<T, F>(&self, consume: F) -> ParallelRun<T>
+    where
+        T: Send + 'static,
+        F: Fn(Vec<Arc<Tuple>>, &mut WorkerAcct) -> DbResult<T> + Send + Sync + 'static,
+    {
+        parallel::start(&self.pool, Arc::clone(&self.chain), consume)
+    }
+
+    /// Cancel what is left of `run` (a LIMIT early-cut) and fold every
+    /// worker's accounting into the chain's spans and the consumer's `own`.
+    fn finish<'a, T>(
+        &mut self,
+        run: ParallelRun<T>,
+        own: impl IntoIterator<Item = &'a mut OpSpan>,
+    ) {
+        let acct = run.finish();
+        let absorb = |span: &mut OpSpan| {
+            if let Some(a) = acct.get(span.id, span.ou) {
+                span.add(&a.work, a.elapsed_us);
+            }
+        };
+        self.spans.iter_mut().for_each(absorb);
+        own.into_iter().for_each(absorb);
+    }
+
+    fn close(&mut self, ctx: &mut ExecContext<'_>) {
+        for span in &mut self.spans {
+            span.finish(ctx);
         }
     }
-}
-
-fn require_pool(ctx: &ExecContext<'_>) -> DbResult<Arc<ExecPool>> {
-    ctx.pool
-        .clone()
-        .ok_or_else(|| DbError::Execution("parallel operator built without a pool".into()))
 }
 
 /// A pipeline-breaker input: either a regular child operator or a parallel
 /// leaf chain the breaker consumes morsel-wise on the worker pool.
 enum ParChild {
     Op(BoxedOp),
-    Parallel {
-        chain: Arc<ChainSpec>,
-        spans: Vec<OpSpan>,
-    },
+    Parallel(ParSource),
 }
 
 impl ParChild {
     fn from_plan(node: &PlanNode, id: u32, ctx: &ExecContext<'_>) -> DbResult<ParChild> {
-        match par_chain(node, id, ctx)? {
-            Some(chain) => {
-                let spans = chain_spans(ctx, &chain);
-                Ok(ParChild::Parallel { chain, spans })
+        Ok(match par_chain(node, id, ctx)? {
+            Some(src) => ParChild::Parallel(src),
+            None => ParChild::Op(build_pipeline(node, id, ctx, false)?),
+        })
+    }
+
+    /// Drain this input into `state` through `fold`, the breaker's kernel.
+    /// Serially, every pulled batch folds straight into `state` inside
+    /// `span`'s timed sections. On the pool, each morsel folds into a fresh
+    /// partial state on a worker (its work and time land on the worker's
+    /// account for `span`), and the partials `merge` into `state` here, in
+    /// morsel order, so the result equals one serial fold.
+    fn fold_into<S, F>(
+        &mut self,
+        ctx: &mut ExecContext<'_>,
+        span: &mut OpSpan,
+        state: &mut S,
+        fold: F,
+        merge: impl Fn(&mut S, S),
+    ) -> DbResult<()>
+    where
+        S: Default + Send + 'static,
+        F: Fn(&mut S, Vec<Arc<Tuple>>, &mut WorkCounts) -> DbResult<()> + Send + Sync + 'static,
+    {
+        match self {
+            ParChild::Op(child) => {
+                let pull = ctx.batch_size.max(1);
+                while let Some(batch) = child.next_batch(ctx, pull)? {
+                    // The child times itself; the span covers the fold only.
+                    let mut work = WorkCounts::default();
+                    span.enter();
+                    fold(state, batch.rows, &mut work)?;
+                    span.exit();
+                    span.add(&work, 0.0);
+                }
             }
-            None => Ok(ParChild::Op(build_pipeline(node, id, ctx, false)?)),
+            ParChild::Parallel(src) => {
+                let (id, ou, track) = (span.id, span.ou, span.active());
+                let mut run = src.start(move |rows, acct| {
+                    let t0 = Instant::now();
+                    let (mut part, mut work) = (S::default(), WorkCounts::default());
+                    fold(&mut part, rows, &mut work)?;
+                    if track {
+                        acct.add(id, ou, &work, elapsed_us(t0));
+                    }
+                    Ok(part)
+                });
+                while let Some(part) = run.next_morsel() {
+                    let part = part?;
+                    span.enter();
+                    merge(state, part);
+                    span.exit();
+                }
+                src.finish(run, [span]);
+            }
         }
+        Ok(())
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         match self {
             ParChild::Op(op) => op.close(ctx),
-            ParChild::Parallel { spans, .. } => {
-                for span in spans {
-                    span.finish(ctx);
-                }
-            }
+            ParChild::Parallel(src) => src.close(ctx),
         }
+    }
+}
+
+/// Rows a pull produced beyond its budget — a block's, a morsel's or a
+/// probe batch's surplus — emitted first by the next pull.
+#[derive(Default)]
+struct Surplus(std::vec::IntoIter<Arc<Tuple>>);
+
+impl Surplus {
+    /// A batch of at most `max` rows, begun with the previous surplus.
+    fn start(&mut self, max: usize) -> Vec<Arc<Tuple>> {
+        let mut rows = Vec::with_capacity(max.min(MAX_PREALLOC));
+        rows.extend(self.0.by_ref().take(max));
+        rows
+    }
+
+    /// Move rows of a gathered `chunk` into `rows` up to `max`; the rest
+    /// waits for the next pull. Only called once the surplus is drained.
+    fn fill(&mut self, rows: &mut Vec<Arc<Tuple>>, chunk: Vec<Arc<Tuple>>, max: usize) {
+        self.0 = chunk.into_iter();
+        rows.extend(self.0.by_ref().take(max - rows.len()));
+    }
+
+    /// Cut `rows` to `max`, keeping the rest for the next pull.
+    fn keep(&mut self, rows: &mut Vec<Arc<Tuple>>, max: usize) {
+        if rows.len() > max {
+            self.0 = rows.split_off(max).into_iter();
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.len() == 0
     }
 }
 
@@ -612,92 +481,40 @@ impl ParChild {
 /// rows in heap order, so downstream operators (and LIMIT) see exactly the
 /// serial row stream.
 struct ParallelScanOp {
-    chain: Arc<ChainSpec>,
-    spans: Vec<OpSpan>,
+    src: ParSource,
     run: Option<ParallelRun<Vec<Arc<Tuple>>>>,
-    started: bool,
-    buf: Vec<Arc<Tuple>>,
-    cursor: usize,
     exhausted: bool,
-}
-
-impl ParallelScanOp {
-    fn new(ctx: &ExecContext<'_>, chain: Arc<ChainSpec>) -> ParallelScanOp {
-        let spans = chain_spans(ctx, &chain);
-        ParallelScanOp {
-            chain,
-            spans,
-            run: None,
-            started: false,
-            buf: Vec::new(),
-            cursor: 0,
-            exhausted: false,
-        }
-    }
+    surplus: Surplus,
 }
 
 impl BatchOperator for ParallelScanOp {
     fn next_batch(
         &mut self,
-        ctx: &mut ExecContext<'_>,
+        _ctx: &mut ExecContext<'_>,
         max_rows: usize,
     ) -> DbResult<Option<Batch>> {
-        if self.exhausted {
-            return Ok(None);
-        }
-        if !self.started {
-            self.started = true;
-            let pool = require_pool(ctx)?;
-            self.run = Some(parallel::start(
-                &pool,
-                Arc::clone(&self.chain),
-                |_chain, rows, _acct| Ok(rows),
-            ));
-        }
         let max = max_rows.max(1);
-        let mut batch = Batch::with_capacity(max);
-        while batch.rows.len() < max {
-            if self.cursor < self.buf.len() {
-                let take = (max - batch.rows.len()).min(self.buf.len() - self.cursor);
-                batch
-                    .rows
-                    .extend(self.buf[self.cursor..self.cursor + take].iter().cloned());
-                self.cursor += take;
-                continue;
-            }
-            match self
+        let mut rows = self.surplus.start(max);
+        while rows.len() < max && !self.exhausted {
+            let run = self
                 .run
-                .as_mut()
-                .expect("parallel run started")
-                .next_morsel()
-            {
-                Some(Ok(rows)) => {
-                    self.buf = rows;
-                    self.cursor = 0;
-                }
-                Some(Err(e)) => return Err(e),
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
+                .get_or_insert_with(|| self.src.start(|rows, _| Ok(rows)));
+            match run.next_morsel() {
+                Some(morsel) => self.surplus.fill(&mut rows, morsel?, max),
+                None => self.exhausted = true,
             }
         }
-        if batch.rows.is_empty() {
+        if rows.is_empty() {
             return Ok(None);
         }
-        Ok(Some(batch))
+        Ok(Some(Batch::of(rows)))
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
         if let Some(run) = self.run.take() {
-            // Cancels outstanding morsels (LIMIT early-cut) and folds every
-            // worker's accounting into the chain's spans.
-            let acct = run.finish();
-            absorb_chain(&mut self.spans, &acct);
+            self.src.finish(run, []);
         }
-        for span in &mut self.spans {
-            span.finish(ctx);
-        }
+        self.src.close(ctx);
     }
 }
 
@@ -705,15 +522,15 @@ impl BatchOperator for ParallelScanOp {
 // Stateless streaming operators
 // ----------------------------------------------------------------------
 
-/// Standalone filter node (HAVING and other post-operator predicates).
-struct FilterOp {
+/// A Filter (HAVING and other post-operator predicates) or Project node:
+/// the serial driver of the stage kernel.
+struct StageOp {
     child: BoxedOp,
-    eval: Evaluator,
-    ops_per: u64,
+    stage: Stage,
     span: OpSpan,
 }
 
-impl BatchOperator for FilterOp {
+impl BatchOperator for StageOp {
     fn next_batch(
         &mut self,
         ctx: &mut ExecContext<'_>,
@@ -722,63 +539,12 @@ impl BatchOperator for FilterOp {
         let Some(input) = self.child.next_batch(ctx, max_rows)? else {
             return Ok(None);
         };
+        let mut work = WorkCounts::default();
         self.span.enter();
-        let n_in = input.rows.len() as u64;
-        let mut out = Batch::with_capacity(input.rows.len());
-        for row in input.rows {
-            if self.eval.eval_bool(&row)? {
-                out.rows.push(row);
-            }
-        }
-        let ops = self.ops_per;
-        self.span.work(|t| {
-            t.add_tuples(n_in);
-            t.add_comparisons(n_in * ops);
-        });
+        let rows = self.stage.apply(input.rows, &mut work)?;
         self.span.exit();
-        Ok(Some(out))
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        self.child.close(ctx);
-        self.span.finish(ctx);
-    }
-}
-
-struct ProjectOp {
-    child: BoxedOp,
-    evals: Vec<Evaluator>,
-    ops_per: u64,
-    span: OpSpan,
-}
-
-impl BatchOperator for ProjectOp {
-    fn next_batch(
-        &mut self,
-        ctx: &mut ExecContext<'_>,
-        max_rows: usize,
-    ) -> DbResult<Option<Batch>> {
-        let Some(input) = self.child.next_batch(ctx, max_rows)? else {
-            return Ok(None);
-        };
-        self.span.enter();
-        let n = input.rows.len() as u64;
-        let mut out = Batch::with_capacity(input.rows.len());
-        for row in &input.rows {
-            let projected: Tuple = self
-                .evals
-                .iter()
-                .map(|e| e.eval(row))
-                .collect::<DbResult<_>>()?;
-            out.rows.push(Arc::new(projected));
-        }
-        let ops = self.ops_per;
-        self.span.work(|t| {
-            t.add_tuples(n);
-            t.add_comparisons(n * ops.max(1));
-        });
-        self.span.exit();
-        Ok(Some(out))
+        self.span.add(&work, 0.0);
+        Ok(Some(Batch::of(rows)))
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
@@ -871,419 +637,131 @@ impl BatchOperator for OutputOp {
 // Joins
 // ----------------------------------------------------------------------
 
-/// The frozen build side of a hash join: row storage plus key → row-index
-/// buckets. Shared immutably with pool workers during a parallel probe.
-struct JoinTable {
-    rows: Vec<Arc<Tuple>>,
-    map: HashMap<Vec<Value>, Vec<usize>>,
-}
-
-impl JoinTable {
-    /// Bucket lookup without a per-probe-row key allocation: single-column
-    /// keys (the common case) borrow the probe row's value in place via
-    /// `Vec<Value>: Borrow<[Value]>`; multi-column keys refill one scratch
-    /// buffer per probe loop instead of allocating a fresh `Vec` per row.
-    /// A NULL key matches nothing (`NULL = NULL` is not true), although the
-    /// build side buckets NULL keys like any other value.
-    #[inline]
-    fn matches(
-        &self,
-        keys: &[usize],
-        row: &Tuple,
-        scratch: &mut Vec<Value>,
-    ) -> Option<&Vec<usize>> {
-        if keys.iter().any(|&k| row[k].is_null()) {
-            return None;
-        }
-        if let [k] = keys {
-            self.map.get(std::slice::from_ref(&row[*k]))
-        } else {
-            scratch.clear();
-            scratch.extend(keys.iter().map(|&k| row[k].clone()));
-            self.map.get(scratch.as_slice())
-        }
-    }
-}
-
-/// Per-morsel partial hash-table build shipped back through the ordered
-/// gather: this morsel's rows plus morsel-local buckets.
-type PartialBuild = (Vec<Arc<Tuple>>, HashMap<Vec<Value>, Vec<usize>>);
-
 /// Hash join. The build side is a pipeline breaker: fully consumed on the
 /// first pull (Join Hash Table Build OU). Probing then streams: each probe
-/// batch is pulled on demand and matches beyond the caller's row budget are
-/// buffered in `pending`, so a LIMIT above the join stops probe-side scans
-/// early.
+/// batch is pulled on demand and matched only until the caller's row budget
+/// is met (joined rows of the last probe row beyond it wait in `surplus`),
+/// so a LIMIT above the join stops probe-side scans early and a high
+/// fan-out never materializes more than a batch plus one row's matches.
 ///
 /// When a side is a parallel leaf chain, the breaker runs morsel-wise on
-/// the pool: the build partitions into per-morsel tables merged in morsel
+/// the pool: the build inserts into per-morsel tables appended in morsel
 /// order (bucket entry order — and therefore probe output — stays
-/// byte-identical to serial insertion order), and the probe matches each
+/// byte-identical to one serial insertion pass), and the probe matches each
 /// morsel against the frozen table on the workers, gathered in order.
+/// Either way the same kernels insert and match.
 struct HashJoinOp {
     build: ParChild,
     probe: ParChild,
-    build_keys: Arc<Vec<usize>>,
-    probe_keys: Arc<Vec<usize>>,
-    residual: Option<Arc<Evaluator>>,
-    residual_ops: u64,
-    built: bool,
+    kernel: Arc<JoinKernel>,
     table: Option<Arc<JoinTable>>,
+    /// The pulled probe batch being matched (serial probe).
     probe_buf: Vec<Arc<Tuple>>,
     probe_cursor: usize,
-    probe_done: bool,
-    pending: VecDeque<Arc<Tuple>>,
     probe_run: Option<ParallelRun<Vec<Arc<Tuple>>>>,
-    probe_started: bool,
+    probe_done: bool,
+    surplus: Surplus,
     build_span: OpSpan,
     probe_span: OpSpan,
     filter_span: Option<OpSpan>,
 }
 
 impl HashJoinOp {
-    fn build_table(&mut self, ctx: &mut ExecContext<'_>) -> DbResult<()> {
-        let track = self.build_span.active();
-        let mut rows: Vec<Arc<Tuple>> = Vec::new();
-        let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        let mut build_bytes = 0u64;
-        let mut parallel_built = false;
-        match &mut self.build {
-            ParChild::Op(child) => {
-                let pull = ctx.batch_size.max(1);
-                loop {
-                    // The child times itself; our span only covers inserts.
-                    let pulled = child.next_batch(ctx, pull)?;
-                    let Some(batch) = pulled else { break };
-                    self.build_span.enter();
-                    map.reserve(batch.rows.len());
-                    for row in batch.rows {
-                        let key: Vec<Value> =
-                            self.build_keys.iter().map(|&k| row[k].clone()).collect();
-                        if track {
-                            build_bytes += tuple_size_bytes(&row) as u64;
-                        }
-                        map.entry(key).or_default().push(rows.len());
-                        rows.push(row);
-                        if ctx.jht_sleep_every > 0 && rows.len().is_multiple_of(ctx.jht_sleep_every)
-                        {
-                            spin_us(1);
-                        }
-                    }
-                    self.build_span.exit();
-                }
-            }
-            ParChild::Parallel { chain, spans } => {
-                parallel_built = true;
-                let pool = require_pool(ctx)?;
-                let keys = Arc::clone(&self.build_keys);
-                let jht = ctx.jht_sleep_every;
-                let ou_id = self.build_span.id;
-                let mut run = parallel::start(
-                    &pool,
-                    Arc::clone(chain),
-                    move |chain, rows, acct| -> DbResult<PartialBuild> {
-                        let t0 = Instant::now();
-                        let mut bytes = 0u64;
-                        let mut part: HashMap<Vec<Value>, Vec<usize>> =
-                            HashMap::with_capacity(rows.len());
-                        for (i, row) in rows.iter().enumerate() {
-                            let key: Vec<Value> = keys.iter().map(|&k| row[k].clone()).collect();
-                            if chain.track {
-                                bytes += tuple_size_bytes(row) as u64;
-                            }
-                            part.entry(key).or_default().push(i);
-                            if jht > 0 && (i + 1).is_multiple_of(jht) {
-                                spin_us(1);
-                            }
-                        }
-                        if chain.track {
-                            // Per-row-linear build work is accounted on the
-                            // worker; merge-only terms (unique buckets) are
-                            // added by the issuing thread so totals match
-                            // the serial formula exactly.
-                            let n = rows.len() as u64;
-                            let s = acct.span(ou_id, OuKind::JoinHashBuild);
-                            s.work.tuples += n;
-                            s.work.bytes += bytes;
-                            s.work.hash_probes += n;
-                            s.work.allocated_bytes += n * (32 + keys.len() as u64 * 16) + bytes;
-                            s.elapsed_us += parallel::elapsed_us(t0);
-                        }
-                        Ok((rows, part))
-                    },
-                );
-                // Merge partial tables in morsel order: every index in a
-                // later morsel is larger than every index in an earlier
-                // one, so bucket entry order equals serial insertion order.
-                while let Some(res) = run.next_morsel() {
-                    let (part_rows, part_map) = res?;
-                    self.build_span.enter();
-                    let off = rows.len();
-                    map.reserve(part_map.len());
-                    for (key, idxs) in part_map {
-                        map.entry(key)
-                            .or_default()
-                            .extend(idxs.into_iter().map(|i| i + off));
-                    }
-                    rows.extend(part_rows);
-                    self.build_span.exit();
-                }
-                let acct = run.finish();
-                absorb_chain(spans, &acct);
-                if let Some(a) = acct.get(ou_id, OuKind::JoinHashBuild) {
-                    self.build_span.absorb(a);
-                }
-            }
-        }
-        let n = rows.len() as u64;
-        let uniq = map.len() as u64;
-        if parallel_built {
-            self.build_span.work(|t| t.add_random_accesses(uniq));
-        } else {
-            let alloc = n * (32 + self.build_keys.len() as u64 * 16) + build_bytes;
-            self.build_span.work(|t| {
-                t.add_tuples(n);
-                t.add_bytes(build_bytes);
-                t.add_hash_probes(n);
-                t.add_random_accesses(uniq);
-                t.add_allocated(alloc);
-            });
-        }
-        self.table = Some(Arc::new(JoinTable { rows, map }));
-        self.built = true;
-        Ok(())
-    }
-
-    /// Serial probe: pull probe batches through the pipeline and match them
-    /// on this thread.
-    fn next_batch_serial(
-        &mut self,
-        ctx: &mut ExecContext<'_>,
-        max: usize,
-    ) -> DbResult<Option<Batch>> {
-        let table = Arc::clone(self.table.as_ref().expect("join table built"));
-        let mut out = Batch::with_capacity(max);
-        let track = self.probe_span.active();
-        let mut probe_tuples = 0u64;
-        let mut probe_bytes = 0u64;
-        let mut out_bytes = 0u64;
-        let mut matched = 0u64;
-        let mut key_scratch: Vec<Value> = Vec::new();
-        self.probe_span.enter();
-        while out.rows.len() < max {
-            if let Some(row) = self.pending.pop_front() {
-                out.rows.push(row);
-                continue;
-            }
-            if self.probe_cursor >= self.probe_buf.len() {
-                if self.probe_done {
-                    break;
-                }
-                let child = match &mut self.probe {
-                    ParChild::Op(op) => op,
-                    ParChild::Parallel { .. } => unreachable!("serial probe"),
-                };
-                self.probe_span.exit();
-                let pulled = child.next_batch(ctx, max)?;
-                self.probe_span.enter();
-                match pulled {
-                    None => self.probe_done = true,
-                    Some(batch) => {
-                        self.probe_buf = batch.rows;
-                        self.probe_cursor = 0;
-                    }
-                }
-                continue;
-            }
-            let row = Arc::clone(&self.probe_buf[self.probe_cursor]);
-            self.probe_cursor += 1;
-            if track {
-                probe_tuples += 1;
-                probe_bytes += tuple_size_bytes(&row) as u64;
-            }
-            if let Some(matches) = table.matches(&self.probe_keys, &row, &mut key_scratch) {
-                for &bi in matches {
-                    let build_row = &table.rows[bi];
-                    let mut combined: Tuple = Vec::with_capacity(row.len() + build_row.len());
-                    combined.extend(row.iter().cloned());
-                    combined.extend(build_row.iter().cloned());
-                    if track {
-                        out_bytes += tuple_size_bytes(&combined) as u64;
-                        matched += 1;
-                    }
-                    let pass = match &self.residual {
-                        Some(ev) => ev.eval_bool(&combined)?,
-                        None => true,
-                    };
-                    if pass {
-                        let combined = Arc::new(combined);
-                        if out.rows.len() < max {
-                            out.rows.push(combined);
-                        } else {
-                            self.pending.push_back(combined);
-                        }
-                    }
-                }
-            }
-        }
-        self.probe_span.work(|t| {
-            t.add_tuples(probe_tuples);
-            t.add_bytes(probe_bytes + out_bytes);
-            t.add_hash_probes(probe_tuples);
-            t.add_allocated(out_bytes);
-        });
-        self.probe_span.exit();
-        if let Some(span) = self.filter_span.as_mut() {
-            let ops = self.residual_ops;
-            span.work(|t| {
-                t.add_tuples(matched);
-                t.add_comparisons(matched * ops);
-            });
-        }
-        if out.rows.is_empty()
-            && self.probe_done
-            && self.pending.is_empty()
-            && self.probe_cursor >= self.probe_buf.len()
-        {
-            return Ok(None);
-        }
-        Ok(Some(out))
-    }
-
-    /// Parallel probe: workers match whole morsels against the frozen table;
-    /// joined rows arrive through the ordered gather in probe-major order,
-    /// byte-identical to the serial probe stream.
-    fn next_batch_parallel(
-        &mut self,
-        ctx: &mut ExecContext<'_>,
-        max: usize,
-    ) -> DbResult<Option<Batch>> {
-        if !self.probe_started {
-            self.probe_started = true;
-            let pool = require_pool(ctx)?;
-            let chain = match &self.probe {
-                ParChild::Parallel { chain, .. } => Arc::clone(chain),
-                ParChild::Op(_) => unreachable!("parallel probe"),
-            };
-            let table = Arc::clone(self.table.as_ref().expect("join table built"));
-            let pkeys = Arc::clone(&self.probe_keys);
-            let residual = self.residual.clone();
-            let residual_ops = self.residual_ops;
-            let ou_id = self.probe_span.id;
-            self.probe_run = Some(parallel::start(&pool, chain, move |chain, rows, acct| {
-                let t0 = Instant::now();
-                let track = chain.track;
-                let mut out: Vec<Arc<Tuple>> = Vec::new();
-                let mut probe_bytes = 0u64;
-                let mut out_bytes = 0u64;
-                let mut matched = 0u64;
-                let mut key_scratch: Vec<Value> = Vec::new();
-                for row in &rows {
-                    if track {
-                        probe_bytes += tuple_size_bytes(row) as u64;
-                    }
-                    if let Some(matches) = table.matches(&pkeys, row, &mut key_scratch) {
-                        for &bi in matches {
-                            let build_row = &table.rows[bi];
-                            let mut combined: Tuple =
-                                Vec::with_capacity(row.len() + build_row.len());
-                            combined.extend(row.iter().cloned());
-                            combined.extend(build_row.iter().cloned());
-                            if track {
-                                out_bytes += tuple_size_bytes(&combined) as u64;
-                                matched += 1;
-                            }
-                            let pass = match &residual {
-                                Some(ev) => ev.eval_bool(&combined)?,
-                                None => true,
-                            };
-                            if pass {
-                                out.push(Arc::new(combined));
-                            }
-                        }
-                    }
-                }
-                if track {
-                    let n = rows.len() as u64;
-                    let s = acct.span(ou_id, OuKind::JoinHashProbe);
-                    s.work.tuples += n;
-                    s.work.bytes += probe_bytes + out_bytes;
-                    s.work.hash_probes += n;
-                    s.work.allocated_bytes += out_bytes;
-                    s.elapsed_us += parallel::elapsed_us(t0);
-                    if residual.is_some() {
-                        let f = acct.span(ou_id, OuKind::ArithmeticFilter);
-                        f.work.tuples += matched;
-                        f.work.comparisons += matched * residual_ops;
-                    }
-                }
-                Ok(out)
-            }));
-        }
-        let mut out = Batch::with_capacity(max);
-        while out.rows.len() < max {
-            if self.probe_cursor < self.probe_buf.len() {
-                let take = (max - out.rows.len()).min(self.probe_buf.len() - self.probe_cursor);
-                out.rows.extend(
-                    self.probe_buf[self.probe_cursor..self.probe_cursor + take]
-                        .iter()
-                        .cloned(),
-                );
-                self.probe_cursor += take;
-                continue;
-            }
-            if self.probe_done {
-                break;
-            }
-            match self.probe_run.as_mut().expect("probe run").next_morsel() {
-                Some(Ok(rows)) => {
-                    self.probe_buf = rows;
-                    self.probe_cursor = 0;
-                }
-                Some(Err(e)) => return Err(e),
-                None => {
-                    self.probe_done = true;
-                    break;
-                }
-            }
-        }
-        if out.rows.is_empty() && self.probe_done && self.probe_cursor >= self.probe_buf.len() {
-            return Ok(None);
-        }
-        Ok(Some(out))
+    fn build_table(&mut self, ctx: &mut ExecContext<'_>) -> DbResult<Arc<JoinTable>> {
+        let kernel = Arc::clone(&self.kernel);
+        let mut table = JoinTable::default();
+        self.build.fold_into(
+            ctx,
+            &mut self.build_span,
+            &mut table,
+            move |table, rows, work| {
+                kernel.insert(table, rows, work);
+                Ok(())
+            },
+            JoinTable::append,
+        )?;
+        let buckets = table.buckets() as u64;
+        self.build_span.work(|t| t.add_random_accesses(buckets));
+        Ok(Arc::new(table))
     }
 }
 
 impl BatchOperator for HashJoinOp {
+    /// Joined rows come from the probe input matched here (serial) or from
+    /// the ordered gather of morsels matched on the workers (parallel).
     fn next_batch(
         &mut self,
         ctx: &mut ExecContext<'_>,
         max_rows: usize,
     ) -> DbResult<Option<Batch>> {
-        if !self.built {
-            self.build_table(ctx)?;
+        if self.table.is_none() {
+            self.table = Some(self.build_table(ctx)?);
         }
+        let table = Arc::clone(self.table.as_ref().expect("join table built"));
         let max = max_rows.max(1);
-        match &self.probe {
-            ParChild::Op(_) => self.next_batch_serial(ctx, max),
-            ParChild::Parallel { .. } => self.next_batch_parallel(ctx, max),
+        let mut rows = self.surplus.start(max);
+        while rows.len() < max && !self.probe_done {
+            match &mut self.probe {
+                ParChild::Op(child) => {
+                    if self.probe_cursor == self.probe_buf.len() {
+                        match child.next_batch(ctx, max)? {
+                            Some(batch) => (self.probe_buf, self.probe_cursor) = (batch.rows, 0),
+                            None => self.probe_done = true,
+                        }
+                        continue;
+                    }
+                    let (mut work, mut filter) = Default::default();
+                    self.probe_span.enter();
+                    self.probe_cursor += self.kernel.probe(
+                        &table,
+                        &self.probe_buf[self.probe_cursor..],
+                        &mut rows,
+                        max,
+                        &mut work,
+                        &mut filter,
+                    )?;
+                    self.probe_span.exit();
+                    self.probe_span.add(&work, 0.0);
+                    if let Some(span) = self.filter_span.as_mut() {
+                        span.add(&filter, 0.0);
+                    }
+                }
+                ParChild::Parallel(src) => {
+                    let run = self.probe_run.get_or_insert_with(|| {
+                        let (kernel, id) = (Arc::clone(&self.kernel), self.probe_span.id);
+                        let table = Arc::clone(&table);
+                        src.start(move |rows, acct| {
+                            let t0 = Instant::now();
+                            let (mut out, mut work, mut filter) = Default::default();
+                            let all = usize::MAX;
+                            kernel.probe(&table, &rows, &mut out, all, &mut work, &mut filter)?;
+                            if kernel.track {
+                                acct.add(id, OuKind::JoinHashProbe, &work, elapsed_us(t0));
+                                acct.add(id, OuKind::ArithmeticFilter, &filter, 0.0);
+                            }
+                            Ok(out)
+                        })
+                    });
+                    match run.next_morsel() {
+                        Some(joined) => self.surplus.fill(&mut rows, joined?, max),
+                        None => self.probe_done = true,
+                    }
+                }
+            }
         }
+        self.surplus.keep(&mut rows, max);
+        if rows.is_empty() && self.probe_done {
+            return Ok(None);
+        }
+        Ok(Some(Batch::of(rows)))
     }
 
     fn close(&mut self, ctx: &mut ExecContext<'_>) {
-        if let Some(run) = self.probe_run.take() {
-            let acct = run.finish();
-            if let ParChild::Parallel { spans, .. } = &mut self.probe {
-                absorb_chain(spans, &acct);
-            }
-            if let Some(a) = acct.get(self.probe_span.id, OuKind::JoinHashProbe) {
-                self.probe_span.absorb(a);
-            }
-            if let Some(span) = self.filter_span.as_mut() {
-                if let Some(a) = acct.get(self.probe_span.id, OuKind::ArithmeticFilter) {
-                    span.absorb(a);
-                }
-            }
+        if let (Some(run), ParChild::Parallel(src)) = (self.probe_run.take(), &mut self.probe) {
+            src.finish(
+                run,
+                std::iter::once(&mut self.probe_span).chain(self.filter_span.as_mut()),
+            );
         }
         self.build.close(ctx);
         self.probe.close(ctx);
@@ -1401,335 +879,44 @@ impl BatchOperator for NestedLoopJoinOp {
 // Aggregation
 // ----------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(i64),
-    Sum {
-        total: f64,
-        all_int: bool,
-        seen: bool,
-    },
-    Avg {
-        total: f64,
-        n: i64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    fn new(func: AggFunc) -> AggState {
-        match func {
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum {
-                total: 0.0,
-                all_int: true,
-                seen: false,
-            },
-            AggFunc::Avg => AggState::Avg { total: 0.0, n: 0 },
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-        }
-    }
-
-    fn update(&mut self, v: Option<Value>) -> DbResult<()> {
-        match self {
-            AggState::Count(c) => {
-                // COUNT(*) counts rows; COUNT(expr) skips NULLs.
-                match v {
-                    Some(val) if val.is_null() => {}
-                    _ => *c += 1,
-                }
-            }
-            AggState::Sum {
-                total,
-                all_int,
-                seen,
-            } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        if !matches!(val, Value::Int(_)) {
-                            *all_int = false;
-                        }
-                        *total += val.as_f64()?;
-                        *seen = true;
-                    }
-                }
-            }
-            AggState::Avg { total, n } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *total += val.as_f64()?;
-                        *n += 1;
-                    }
-                }
-            }
-            AggState::Min(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null()
-                        && cur
-                            .as_ref()
-                            .is_none_or(|c| val.cmp_total(c) == std::cmp::Ordering::Less)
-                    {
-                        *cur = Some(val);
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(val) = v {
-                    if !val.is_null()
-                        && cur
-                            .as_ref()
-                            .is_none_or(|c| val.cmp_total(c) == std::cmp::Ordering::Greater)
-                    {
-                        *cur = Some(val);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Combine a later partial state into this one (parallel pre-aggregation
-    /// merge, applied strictly in morsel order). Each combine mirrors the
-    /// row-wise `update` fold: counts/sums add, MIN/MAX keep the earlier
-    /// value on ties — so the merged state is exactly what a serial fold
-    /// over the concatenated input produces (float sums are combined with
-    /// the same left-to-right associativity caveat documented in DESIGN.md).
-    fn merge(&mut self, later: AggState) {
-        match (self, later) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (
-                AggState::Sum {
-                    total,
-                    all_int,
-                    seen,
-                },
-                AggState::Sum {
-                    total: t2,
-                    all_int: a2,
-                    seen: s2,
-                },
-            ) => {
-                *total += t2;
-                *all_int &= a2;
-                *seen |= s2;
-            }
-            (AggState::Avg { total, n }, AggState::Avg { total: t2, n: n2 }) => {
-                *total += t2;
-                *n += n2;
-            }
-            (AggState::Min(cur), AggState::Min(v)) => {
-                if let Some(v) = v {
-                    if cur
-                        .as_ref()
-                        .is_none_or(|c| v.cmp_total(c) == std::cmp::Ordering::Less)
-                    {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            (AggState::Max(cur), AggState::Max(v)) => {
-                if let Some(v) = v {
-                    if cur
-                        .as_ref()
-                        .is_none_or(|c| v.cmp_total(c) == std::cmp::Ordering::Greater)
-                    {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
-    fn finalize(self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(c),
-            AggState::Sum {
-                total,
-                all_int,
-                seen,
-            } => {
-                if !seen {
-                    Value::Null
-                } else if all_int {
-                    Value::Int(total as i64)
-                } else {
-                    Value::Float(total)
-                }
-            }
-            AggState::Avg { total, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(total / n as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Value::Null),
-        }
-    }
-}
-
-/// Per-morsel partial aggregation shipped back through the ordered gather.
-type PartialGroups = HashMap<Vec<Value>, Vec<AggState>>;
-
 /// Hash aggregation: build (pipeline breaker, Agg Hash Table Build OU) then
 /// batched emission of finalized groups (Agg Hash Table Probe OU).
 ///
-/// With a parallel leaf chain below, workers pre-aggregate each morsel into
-/// a local group map and the issuing thread merges the partials in strict
-/// morsel order ([`AggState::merge`]), so the final states equal a serial
-/// fold over the heap-ordered input.
+/// With a parallel leaf chain below, workers fold each morsel into a local
+/// group map and the issuing thread merges the partials in strict morsel
+/// order, so the final states equal a serial fold over the heap-ordered
+/// input.
 struct AggregateOp {
     child: ParChild,
-    specs: Arc<Vec<AggSpec>>,
-    group_eval: Arc<Vec<Evaluator>>,
-    agg_eval: Arc<Vec<Option<Evaluator>>>,
-    n_group_cols: usize,
-    built: bool,
-    emit: Option<std::vec::IntoIter<(Vec<Value>, Vec<AggState>)>>,
+    kernel: Arc<AggKernel>,
+    emit: Option<std::collections::hash_map::IntoIter<Vec<Value>, Vec<AggState>>>,
     build_span: OpSpan,
     probe_span: OpSpan,
 }
 
 impl AggregateOp {
-    fn build_groups(&mut self, ctx: &mut ExecContext<'_>) -> DbResult<()> {
-        let track = self.build_span.active();
-        let mut groups: PartialGroups = HashMap::new();
-        let mut rows_in = 0u64;
-        let mut bytes = 0u64;
-        let mut parallel_built = false;
-        match &mut self.child {
-            ParChild::Op(child) => {
-                let pull = ctx.batch_size.max(1);
-                loop {
-                    let pulled = child.next_batch(ctx, pull)?;
-                    let Some(batch) = pulled else { break };
-                    self.build_span.enter();
-                    for row in &batch.rows {
-                        if track {
-                            rows_in += 1;
-                            bytes += tuple_size_bytes(row) as u64;
-                        }
-                        let key: Vec<Value> = self
-                            .group_eval
-                            .iter()
-                            .map(|g| g.eval(row))
-                            .collect::<DbResult<_>>()?;
-                        let specs = &self.specs;
-                        let states = groups.entry(key).or_insert_with(|| {
-                            specs.iter().map(|a| AggState::new(a.func)).collect()
-                        });
-                        for (state, eval) in states.iter_mut().zip(self.agg_eval.iter()) {
-                            let v = match eval {
-                                Some(e) => Some(e.eval(row)?),
-                                None => None,
-                            };
-                            state.update(v)?;
-                        }
-                    }
-                    self.build_span.exit();
-                }
-            }
-            ParChild::Parallel { chain, spans } => {
-                parallel_built = true;
-                let pool = require_pool(ctx)?;
-                let specs = Arc::clone(&self.specs);
-                let group_eval = Arc::clone(&self.group_eval);
-                let agg_eval = Arc::clone(&self.agg_eval);
-                let ou_id = self.build_span.id;
-                let mut run = parallel::start(
-                    &pool,
-                    Arc::clone(chain),
-                    move |chain, rows, acct| -> DbResult<PartialGroups> {
-                        let t0 = Instant::now();
-                        let mut part: PartialGroups = HashMap::new();
-                        let mut n = 0u64;
-                        let mut part_bytes = 0u64;
-                        for row in &rows {
-                            if chain.track {
-                                n += 1;
-                                part_bytes += tuple_size_bytes(row) as u64;
-                            }
-                            let key: Vec<Value> = group_eval
-                                .iter()
-                                .map(|g| g.eval(row))
-                                .collect::<DbResult<_>>()?;
-                            let states = part.entry(key).or_insert_with(|| {
-                                specs.iter().map(|a| AggState::new(a.func)).collect()
-                            });
-                            for (state, eval) in states.iter_mut().zip(agg_eval.iter()) {
-                                let v = match eval {
-                                    Some(e) => Some(e.eval(row)?),
-                                    None => None,
-                                };
-                                state.update(v)?;
-                            }
-                        }
-                        if chain.track {
-                            let s = acct.span(ou_id, OuKind::AggBuild);
-                            s.work.tuples += n;
-                            s.work.bytes += part_bytes;
-                            s.work.hash_probes += n;
-                            s.elapsed_us += parallel::elapsed_us(t0);
-                        }
-                        Ok(part)
-                    },
-                );
-                while let Some(res) = run.next_morsel() {
-                    let part = res?;
-                    self.build_span.enter();
-                    for (key, states) in part {
-                        match groups.entry(key) {
-                            Entry::Occupied(mut e) => {
-                                for (earlier, later) in e.get_mut().iter_mut().zip(states) {
-                                    earlier.merge(later);
-                                }
-                            }
-                            Entry::Vacant(e) => {
-                                e.insert(states);
-                            }
-                        }
-                    }
-                    self.build_span.exit();
-                }
-                let acct = run.finish();
-                absorb_chain(spans, &acct);
-                if let Some(a) = acct.get(ou_id, OuKind::AggBuild) {
-                    self.build_span.absorb(a);
-                }
-            }
-        }
-        if groups.is_empty() && self.n_group_cols == 0 {
+    fn build_groups(&mut self, ctx: &mut ExecContext<'_>) -> DbResult<Groups> {
+        let kernel = Arc::clone(&self.kernel);
+        let mut groups = Groups::default();
+        self.child.fold_into(
+            ctx,
+            &mut self.build_span,
+            &mut groups,
+            move |groups, rows, work| kernel.fold(groups, &rows, work),
+            merge_groups,
+        )?;
+        let n_group_cols = self.kernel.group_eval.len();
+        if groups.is_empty() && n_group_cols == 0 {
             // Scalar aggregate over an empty input still yields one row.
-            groups.insert(
-                Vec::new(),
-                self.specs.iter().map(|a| AggState::new(a.func)).collect(),
-            );
+            groups.insert(Vec::new(), self.kernel.states());
         }
         let n_groups = groups.len() as u64;
-        let width = (self.n_group_cols + self.specs.len()) as u64;
-        if parallel_built {
-            // Per-row terms were accounted on the workers; only the
-            // merge-side terms (group slots) land here, so totals equal the
-            // serial formula.
-            self.build_span.work(|t| {
-                t.add_random_accesses(n_groups);
-                t.add_allocated(n_groups * (32 + width * 16));
-            });
-        } else {
-            self.build_span.work(|t| {
-                t.add_tuples(rows_in);
-                t.add_bytes(bytes);
-                t.add_hash_probes(rows_in);
-                t.add_random_accesses(n_groups);
-                t.add_allocated(n_groups * (32 + width * 16));
-            });
-        }
-        self.emit = Some(groups.into_iter().collect::<Vec<_>>().into_iter());
-        self.built = true;
-        Ok(())
+        let width = (n_group_cols + self.kernel.specs.len()) as u64;
+        self.build_span.work(|t| {
+            t.add_random_accesses(n_groups);
+            t.add_allocated(n_groups * (32 + width * 16));
+        });
+        Ok(groups)
     }
 }
 
@@ -1739,8 +926,8 @@ impl BatchOperator for AggregateOp {
         ctx: &mut ExecContext<'_>,
         max_rows: usize,
     ) -> DbResult<Option<Batch>> {
-        if !self.built {
-            self.build_groups(ctx)?;
+        if self.emit.is_none() {
+            self.emit = Some(self.build_groups(ctx)?.into_iter());
         }
         let emit = self.emit.as_mut().expect("agg emit iterator");
         if emit.len() == 0 {
@@ -1919,54 +1106,42 @@ pub(crate) fn build_pipeline(
     // ParallelScanOp (morsel-parallel with an ordered gather). DML victim
     // scans stay serial: they need slot provenance paired with rows.
     if !want_slots {
-        if let Some(chain) = par_chain(node, id, ctx)? {
-            return Ok(Box::new(ParallelScanOp::new(ctx, chain)));
+        if let Some(src) = par_chain(node, id, ctx)? {
+            return Ok(Box::new(ParallelScanOp {
+                src,
+                run: None,
+                exhausted: false,
+                surplus: Surplus::default(),
+            }));
         }
+    }
+    if let Some((stage, input)) = Stage::from_plan(node, use_compiled) {
+        return Ok(Box::new(StageOp {
+            child: build_pipeline(input, id + 1, ctx, false)?,
+            stage,
+            span: OpSpan::new(ctx, id, OuKind::ArithmeticFilter),
+        }));
     }
     match node {
         PlanNode::SeqScan { table, filter, .. } => {
             let entry = ctx.catalog.get(table)?;
-            // batch_size == 1 is the legacy tuple-at-a-time mode: the
-            // predicate runs in a separate operator above the scan so every
-            // tuple traverses the full pull chain, as the materializing
-            // engine behaved. Larger batches push it into the scan visitor.
-            // DML scans always fuse — their filter must keep rows and slots
-            // paired.
-            let fuse = ctx.batch_size > 1 || want_slots || filter.is_none();
             // DML victim scans need slot provenance, which blocks don't
             // carry — they stay on the row path.
-            let columnar = ctx.columnar && !want_slots;
-            let scan = Box::new(SeqScanOp {
-                table: Arc::clone(&entry.table),
-                filter: fuse
-                    .then(|| filter.as_ref().map(|f| Evaluator::new(f, use_compiled)))
-                    .flatten(),
-                filter_ops: filter.as_ref().map_or(0, |f| f.op_count()) as u64,
+            let kernel = ScanKernel::new(
+                ctx,
+                &entry.table,
+                filter.as_ref(),
+                ctx.columnar && !want_slots,
+            );
+            let spans = kernel.ous().map(|ou| OpSpan::new(ctx, id, ou)).collect();
+            Ok(Box::new(SeqScanOp {
+                kernel,
                 want_slots,
                 pos: 0,
                 done: false,
-                scan_span: OpSpan::new(ctx, id, OuKind::SeqScan),
-                filter_span: filter
-                    .as_ref()
-                    .filter(|_| fuse)
-                    .map(|_| OpSpan::new(ctx, id, OuKind::ArithmeticFilter)),
-                // In legacy unfused mode the predicate runs in the FilterOp
-                // above, so the block path must emit unfiltered rows.
-                block_pred: columnar
-                    .then(|| BlockPredicate::extract(filter.as_ref().filter(|_| fuse))),
-                block_span: columnar.then(|| OpSpan::new(ctx, id, OuKind::BlockScan)),
-                carry: Vec::new(),
-                carry_cursor: 0,
-            });
-            if fuse {
-                return Ok(scan);
-            }
-            let predicate = filter.as_ref().expect("unfused scan has a filter");
-            Ok(Box::new(FilterOp {
-                child: scan,
-                eval: Evaluator::new(predicate, use_compiled),
-                ops_per: predicate.op_count() as u64,
-                span: OpSpan::new(ctx, id, OuKind::ArithmeticFilter),
+                acct: ScanAcct::default(),
+                spans,
+                surplus: Surplus::default(),
             }))
         }
         PlanNode::IndexScan {
@@ -1980,15 +1155,11 @@ pub(crate) fn build_pipeline(
             let idx = entry
                 .index_named(index)
                 .ok_or_else(|| DbError::Execution(format!("index '{index}' missing")))?;
-            // Same legacy-mode split as SeqScan.
-            let fuse = ctx.batch_size > 1 || want_slots || filter.is_none();
-            let scan = Box::new(IndexScanOp {
+            Ok(Box::new(IndexScanOp {
                 table: Arc::clone(&entry.table),
                 index: idx,
                 range: range.clone(),
-                filter: fuse
-                    .then(|| filter.as_ref().map(|f| Evaluator::new(f, use_compiled)))
-                    .flatten(),
+                filter: filter.as_ref().map(|f| Evaluator::new(f, use_compiled)),
                 filter_ops: filter.as_ref().map_or(0, |f| f.op_count()) as u64,
                 want_slots,
                 candidates: None,
@@ -1996,18 +1167,7 @@ pub(crate) fn build_pipeline(
                 scan_span: OpSpan::new(ctx, id, OuKind::IdxScan),
                 filter_span: filter
                     .as_ref()
-                    .filter(|_| fuse)
                     .map(|_| OpSpan::new(ctx, id, OuKind::ArithmeticFilter)),
-            });
-            if fuse {
-                return Ok(scan);
-            }
-            let predicate = filter.as_ref().expect("unfused scan has a filter");
-            Ok(Box::new(FilterOp {
-                child: scan,
-                eval: Evaluator::new(predicate, use_compiled),
-                ops_per: predicate.op_count() as u64,
-                span: OpSpan::new(ctx, id, OuKind::ArithmeticFilter),
             }))
         }
         PlanNode::HashJoin {
@@ -2023,20 +1183,20 @@ pub(crate) fn build_pipeline(
             Ok(Box::new(HashJoinOp {
                 build: ParChild::from_plan(build, build_id, ctx)?,
                 probe: ParChild::from_plan(probe, probe_id, ctx)?,
-                build_keys: Arc::new(build_keys.clone()),
-                probe_keys: Arc::new(probe_keys.clone()),
-                residual: filter
-                    .as_ref()
-                    .map(|f| Arc::new(Evaluator::new(f, use_compiled))),
-                residual_ops: filter.as_ref().map_or(0, |f| f.op_count()) as u64,
-                built: false,
+                kernel: Arc::new(JoinKernel {
+                    build_keys: build_keys.clone(),
+                    probe_keys: probe_keys.clone(),
+                    residual: filter.as_ref().map(|f| Evaluator::new(f, use_compiled)),
+                    residual_ops: filter.as_ref().map_or(0, |f| f.op_count()) as u64,
+                    sleep_every: ctx.jht_sleep_every,
+                    track: tracking(ctx),
+                }),
                 table: None,
                 probe_buf: Vec::new(),
                 probe_cursor: 0,
-                probe_done: false,
-                pending: VecDeque::new(),
                 probe_run: None,
-                probe_started: false,
+                probe_done: false,
+                surplus: Surplus::default(),
                 build_span: OpSpan::new(ctx, id, OuKind::JoinHashBuild),
                 probe_span: OpSpan::new(ctx, id, OuKind::JoinHashProbe),
                 filter_span: filter
@@ -2073,31 +1233,21 @@ pub(crate) fn build_pipeline(
             ..
         } => Ok(Box::new(AggregateOp {
             child: ParChild::from_plan(input, id + 1, ctx)?,
-            specs: Arc::new(aggs.clone()),
-            group_eval: Arc::new(
-                group_by
+            kernel: Arc::new(AggKernel {
+                specs: aggs.clone(),
+                group_eval: group_by
                     .iter()
                     .map(|g| Evaluator::new(g, use_compiled))
                     .collect(),
-            ),
-            agg_eval: Arc::new(
-                aggs.iter()
+                agg_eval: aggs
+                    .iter()
                     .map(|a| a.arg.as_ref().map(|e| Evaluator::new(e, use_compiled)))
                     .collect(),
-            ),
-            n_group_cols: group_by.len(),
-            built: false,
+                track: tracking(ctx),
+            }),
             emit: None,
             build_span: OpSpan::new(ctx, id, OuKind::AggBuild),
             probe_span: OpSpan::new(ctx, id, OuKind::AggProbe),
-        })),
-        PlanNode::Filter {
-            input, predicate, ..
-        } => Ok(Box::new(FilterOp {
-            child: build_pipeline(input, id + 1, ctx, false)?,
-            eval: Evaluator::new(predicate, use_compiled),
-            ops_per: predicate.op_count() as u64,
-            span: OpSpan::new(ctx, id, OuKind::ArithmeticFilter),
         })),
         PlanNode::Sort { input, keys, .. } => Ok(Box::new(SortOp {
             child: build_pipeline(input, id + 1, ctx, false)?,
@@ -2109,15 +1259,6 @@ pub(crate) fn build_pipeline(
             sorted: None,
             build_span: OpSpan::new(ctx, id, OuKind::SortBuild),
             iter_span: OpSpan::new(ctx, id, OuKind::SortIter),
-        })),
-        PlanNode::Project { input, exprs, .. } => Ok(Box::new(ProjectOp {
-            child: build_pipeline(input, id + 1, ctx, false)?,
-            evals: exprs
-                .iter()
-                .map(|e| Evaluator::new(e, use_compiled))
-                .collect(),
-            ops_per: exprs.iter().map(|e| e.op_count() as u64).sum(),
-            span: OpSpan::new(ctx, id, OuKind::ArithmeticFilter),
         })),
         PlanNode::Limit { input, n, .. } => Ok(Box::new(LimitOp {
             child: build_pipeline(input, id + 1, ctx, false)?,

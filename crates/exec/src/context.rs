@@ -45,8 +45,8 @@ pub struct ExecContext<'a> {
     /// context; `None` leaves new indexes uninstrumented.
     pub index_obs: Option<Arc<IndexObs>>,
     /// Rows per [`crate::batch::Batch`] flowing through the operator
-    /// pipeline. `1` degenerates to tuple-at-a-time execution (the old
-    /// behavior); larger batches amortize per-pull overhead.
+    /// pipeline. Every size runs the same operators; `1` pulls one tuple
+    /// per call, larger batches amortize per-pull overhead.
     pub batch_size: usize,
     /// Shared worker pool for morsel-driven intra-query parallelism.
     /// `None` (the default, and what `Knobs::parallelism == 1` maps to)

@@ -21,6 +21,7 @@ pub mod columnar;
 pub mod compile;
 pub mod context;
 pub mod executor;
+mod kernel;
 pub mod obs;
 pub mod ops;
 pub mod parallel;

@@ -15,39 +15,7 @@ use mb2_storage::SlotId;
 
 use crate::compile::Evaluator;
 use crate::context::{ExecContext, ExecutionMode};
-use crate::tracker::OuTracker;
-
-/// Span guard: tracks when a recorder is attached or hardware pacing is
-/// active (pacing must stretch spans even when metrics aren't collected).
-struct Span {
-    tracker: Option<OuTracker>,
-}
-
-impl Span {
-    fn begin(ctx: &ExecContext<'_>) -> Span {
-        let active = ctx.recorder.is_some() || ctx.hw.slowdown() > 1.0;
-        Span {
-            tracker: active.then(OuTracker::start),
-        }
-    }
-
-    fn work(&mut self, f: impl FnOnce(&mut OuTracker)) {
-        if let Some(t) = self.tracker.as_mut() {
-            f(t);
-        }
-    }
-
-    fn end(self, ctx: &ExecContext<'_>, id: u32, ou: OuKind) {
-        if let Some(t) = self.tracker {
-            let work = t.work;
-            let metrics = t.finish(&ctx.hw);
-            if let Some(r) = ctx.recorder {
-                r.record_work(id, ou, work);
-                r.record(id, ou, metrics);
-            }
-        }
-    }
-}
+use crate::tracker::OpSpan;
 
 pub(crate) fn compiled(ctx: &ExecContext<'_>) -> bool {
     ctx.mode == ExecutionMode::Compiled
@@ -69,7 +37,8 @@ pub(crate) fn spin_us(us: u64) {
 pub fn insert(table: &str, rows: &[Tuple], ctx: &mut ExecContext<'_>, id: u32) -> DbResult<usize> {
     let entry = ctx.catalog.get(table)?;
     let indexes = entry.indexes();
-    let mut span = Span::begin(ctx);
+    let mut span = OpSpan::new(ctx, id, OuKind::InsertTuple);
+    span.enter();
     let mut bytes = 0u64;
     for row in rows {
         bytes += tuple_size_bytes(row) as u64;
@@ -84,7 +53,7 @@ pub fn insert(table: &str, rows: &[Tuple], ctx: &mut ExecContext<'_>, id: u32) -
         t.add_allocated(bytes);
         t.add_random_accesses(rows.len() as u64 * indexes.len() as u64);
     });
-    span.end(ctx, id, OuKind::InsertTuple);
+    span.finish(ctx);
     Ok(rows.len())
 }
 
@@ -104,7 +73,8 @@ pub fn update(
         .map(|(pos, e)| (*pos, Evaluator::new(e, use_compiled)))
         .collect();
 
-    let mut span = Span::begin(ctx);
+    let mut span = OpSpan::new(ctx, id, OuKind::UpdateTuple);
+    span.enter();
     let mut bytes = 0u64;
     for (old, slot) in rows.iter().zip(&slots) {
         let mut new = old.as_ref().clone();
@@ -128,7 +98,7 @@ pub fn update(
         t.add_allocated(bytes);
         t.add_random_accesses(rows.len() as u64 * (1 + indexes.len() as u64));
     });
-    span.end(ctx, id, OuKind::UpdateTuple);
+    span.finish(ctx);
     Ok(rows.len())
 }
 
@@ -136,7 +106,8 @@ pub fn delete(table: &str, scan: &PlanNode, ctx: &mut ExecContext<'_>, id: u32) 
     let (rows, slots) = run_scan_with_slots(scan, ctx, id + 1)?;
     let entry = ctx.catalog.get(table)?;
     let indexes = entry.indexes();
-    let mut span = Span::begin(ctx);
+    let mut span = OpSpan::new(ctx, id, OuKind::DeleteTuple);
+    span.enter();
     for (old, slot) in rows.iter().zip(&slots) {
         ctx.txn.delete(&entry.table, *slot)?;
         for index in &indexes {
@@ -147,7 +118,7 @@ pub fn delete(table: &str, scan: &PlanNode, ctx: &mut ExecContext<'_>, id: u32) 
         t.add_tuples(rows.len() as u64);
         t.add_random_accesses(rows.len() as u64 * (1 + indexes.len() as u64));
     });
-    span.end(ctx, id, OuKind::DeleteTuple);
+    span.finish(ctx);
     Ok(rows.len())
 }
 
@@ -182,7 +153,8 @@ pub fn create_index(
     id: u32,
 ) -> DbResult<usize> {
     let entry = ctx.catalog.get(table)?;
-    let mut span = Span::begin(ctx);
+    let mut span = OpSpan::new(ctx, id, OuKind::IndexBuild);
+    span.enter();
     // Snapshot the key/slot pairs visible to this transaction.
     let mut entries: Vec<(Vec<Value>, SlotId)> = Vec::new();
     let mut key_bytes = 0u64;
@@ -227,6 +199,6 @@ pub fn create_index(
         t.add_allocated(tree_bytes);
         t.add_random_accesses(n as u64 / 4);
     });
-    span.end(ctx, id, OuKind::IndexBuild);
+    span.finish(ctx);
     Ok(n)
 }

@@ -1,4 +1,4 @@
-//! Morsel-driven intra-query parallelism.
+//! Morsel-driven intra-query parallelism: the parallel driver.
 //!
 //! A shared [`ExecPool`] (owned by the engine, sized by the `parallelism`
 //! knob) runs parallelizable *leaf chains* — a base-table sequential scan
@@ -11,25 +11,27 @@
 //! one cursor and each worker stays inside one shard's chain blocks while
 //! its shard lasts. Workers evaluate the chain over their range with
 //! thread-local state and send results to the issuing thread, which
-//! re-emits them in morsel order (an **ordered gather**). Because disjoint slot ranges partition the heap exactly
-//! (`Table::scan_visible_range`) and emission is in range order, the row
-//! stream a parallel chain produces is byte-identical to the serial scan —
-//! heap order is preserved, so `LIMIT` prefixes and client-visible row
-//! order do not change with the worker count.
+//! re-emits them in morsel order (an **ordered gather**). Because disjoint
+//! slot ranges partition the heap exactly (`Table::scan_visible_range`) and
+//! emission is in range order, the row stream a parallel chain produces is
+//! byte-identical to the serial scan — heap order is preserved, so `LIMIT`
+//! prefixes and client-visible row order do not change with the worker
+//! count.
 //!
-//! Pipeline breakers merge per-morsel partial state on the issuing thread,
-//! again in morsel order: the hash-join build concatenates per-morsel rows
-//! (so bucket entry order equals serial insertion order) and the
-//! pre-aggregation merges per-morsel group maps with order-sensitive
-//! combine functions. See DESIGN.md "Parallel execution model".
+//! This module is a driver only: a morsel runs the same kernels
+//! ([`crate::kernel`]) the serial pipeline runs on a batch — the scan, the
+//! Filter/Project stages, and then the consuming operator's kernel (join
+//! probe, join build insert, aggregation fold). Pipeline breakers merge the
+//! per-morsel partial state on the issuing thread, in morsel order. See
+//! DESIGN.md "Parallel execution model".
 //!
-//! OU accounting: workers count work into a private `WorkerAcct` keyed by
-//! `(node id, OU)` together with per-section wall time. At operator close
-//! the accounts of all workers fold into the operator's single `OpSpan`
-//! (`OuTracker::absorb`), so a recorder sees exactly one measurement per
-//! (node, OU) whose tuple/byte features equal the serial totals and whose
-//! elapsed time is the *sum* of concurrent worker time — true aggregate
-//! work, which is what the OU models train on.
+//! OU accounting: workers fold each kernel's work counts, with the morsel's
+//! wall time, into a private `WorkerAcct` keyed by `(node id, OU)`. At
+//! operator close the accounts of all workers fold into the operator's
+//! single `OpSpan`, so a recorder sees exactly one measurement per (node,
+//! OU) whose tuple/byte features equal the serial totals and whose elapsed
+//! time is the *sum* of concurrent worker time — true aggregate work, which
+//! is what the OU models train on.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -40,14 +42,12 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use mb2_common::types::{tuple_size_bytes, Tuple};
+use mb2_common::types::Tuple;
 use mb2_common::{DbError, DbResult, OuKind};
 use mb2_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use mb2_storage::{Table, Ts, SHARD_UNIT_SLOTS};
 
-use crate::columnar::{self, BlockPredicate};
-use crate::compile::Evaluator;
-use crate::tracker::WorkCounts;
+use crate::kernel::{elapsed_us, ScanAcct, ScanKernel, Stage};
+use crate::tracker::{SpanAcct, WorkCounts};
 
 /// Slots per morsel. Matches half a storage segment: large enough that the
 /// per-morsel dispatch cost (one atomic fetch-add plus one channel send) is
@@ -256,15 +256,12 @@ pub(crate) struct WorkerAcct {
     spans: HashMap<(u32, OuKind), SpanAcct>,
 }
 
-#[derive(Default, Clone, Copy)]
-pub(crate) struct SpanAcct {
-    pub work: WorkCounts,
-    pub elapsed_us: f64,
-}
-
 impl WorkerAcct {
-    pub fn span(&mut self, id: u32, ou: OuKind) -> &mut SpanAcct {
-        self.spans.entry((id, ou)).or_default()
+    pub fn add(&mut self, id: u32, ou: OuKind, work: &WorkCounts, elapsed_us: f64) {
+        self.spans
+            .entry((id, ou))
+            .or_default()
+            .add(work, elapsed_us);
     }
 
     pub fn get(&self, id: u32, ou: OuKind) -> Option<&SpanAcct> {
@@ -272,57 +269,23 @@ impl WorkerAcct {
     }
 
     fn fold(&mut self, other: WorkerAcct) {
-        for (key, acct) in other.spans {
-            let mine = self.spans.entry(key).or_default();
-            mine.work.merge(&acct.work);
-            mine.elapsed_us += acct.elapsed_us;
+        for ((id, ou), acct) in other.spans {
+            self.add(id, ou, &acct.work, acct.elapsed_us);
         }
     }
-}
-
-pub(crate) fn elapsed_us(t0: Instant) -> f64 {
-    t0.elapsed().as_nanos() as f64 / 1000.0
 }
 
 // ----------------------------------------------------------------------
 // Parallelizable leaf chains
 // ----------------------------------------------------------------------
 
-/// A Filter or Project stage stacked above the scan inside a parallel
-/// chain. Evaluators are `Send + Sync`, so stages are shared with workers
-/// by `Arc`ing the whole spec.
-pub(crate) enum ParStage {
-    Filter {
-        id: u32,
-        eval: Evaluator,
-        ops: u64,
-    },
-    Project {
-        id: u32,
-        evals: Vec<Evaluator>,
-        ops: u64,
-    },
-}
-
-/// A thread-safe description of a parallelizable leaf chain: a sequential
-/// base-table scan (with its fused predicate) plus zero or more
-/// Filter/Project stages. Everything a worker needs — table handle,
-/// snapshot timestamps, evaluators — is owned here, so the spec can cross
-/// threads without borrowing the issuing transaction (`Transaction` itself
-/// is not `Sync`; MVCC visibility only needs `(read_ts, own)`).
+/// A parallelizable leaf chain: a sequential base-table scan (with its
+/// fused predicate) plus zero or more Filter/Project stages, bottom-up. It
+/// owns everything a worker needs, so it crosses threads behind an `Arc`.
 pub(crate) struct ChainSpec {
-    pub table: Arc<Table>,
-    pub read_ts: Ts,
-    pub own: Ts,
+    pub scan: ScanKernel,
     pub scan_id: u32,
-    pub filter: Option<Evaluator>,
-    pub filter_ops: u64,
-    /// `Some` iff the `columnar_enabled` knob is on: clean sealed units are
-    /// served from their blocks (Block/Scan OU) instead of chain walks.
-    pub block_pred: Option<BlockPredicate>,
-    pub stages: Vec<ParStage>,
-    /// Maintain work counts (mirrors `OpSpan::active`).
-    pub track: bool,
+    pub stages: Vec<(u32, Stage)>,
     pub morsel_slots: usize,
     /// Slot count snapshot taken at plan time; ranges beyond it are never
     /// dispatched, so concurrent appends don't skew the morsel count.
@@ -339,163 +302,42 @@ impl ChainSpec {
     /// mid-range — affinity is a dispatch heuristic, not a correctness
     /// boundary (`scan_visible_range` handles any range).
     fn shard_of_morsel(&self, m: usize) -> usize {
-        self.table.shard_of_index(m * self.morsel_slots.max(1))
+        self.scan.table.shard_of_index(m * self.morsel_slots.max(1))
     }
 
     /// The `(node id, OU)` spans this chain accounts for, bottom-up. The
     /// issuing thread creates an `OpSpan` for each so that zero-work spans
     /// are still recorded (preserving the plan's OU set under LIMIT).
-    pub fn span_keys(&self) -> Vec<(u32, OuKind)> {
-        let mut keys = vec![(self.scan_id, OuKind::SeqScan)];
-        if self.block_pred.is_some() {
-            keys.push((self.scan_id, OuKind::BlockScan));
-        }
-        if self.filter.is_some() {
-            keys.push((self.scan_id, OuKind::ArithmeticFilter));
-        }
-        for stage in &self.stages {
-            match stage {
-                ParStage::Filter { id, .. } | ParStage::Project { id, .. } => {
-                    keys.push((*id, OuKind::ArithmeticFilter));
-                }
-            }
-        }
-        keys
+    pub fn span_keys(&self) -> impl Iterator<Item = (u32, OuKind)> + '_ {
+        let stages = self
+            .stages
+            .iter()
+            .map(|(id, _)| (*id, OuKind::ArithmeticFilter));
+        self.scan.ous().map(|ou| (self.scan_id, ou)).chain(stages)
     }
 
-    /// Evaluate one morsel: scan the slot range with the fused predicate,
-    /// then run the stacked stages. Work/time accounting mirrors the serial
-    /// operators exactly (same formulas, summed across morsels), so folded
-    /// per-(node, OU) feature totals equal the serial engine's.
+    /// Evaluate one morsel: the scan kernel over its slot range, then the
+    /// stage kernels, each accounted to its `(node id, OU)`.
     fn run_morsel(&self, morsel: usize, acct: &mut WorkerAcct) -> DbResult<Vec<Arc<Tuple>>> {
-        let start = morsel * self.morsel_slots;
-        let end = (start + self.morsel_slots).min(self.total_slots);
+        let mut pos = morsel * self.morsel_slots;
+        let end = (pos + self.morsel_slots).min(self.total_slots);
         let mut rows: Vec<Arc<Tuple>> = Vec::new();
-        let mut scanned = 0u64;
-        let mut scanned_bytes = 0u64;
-        let mut filtered = 0u64;
-        let mut row_elapsed = 0.0f64;
-        let mut pos = start;
-        while pos < end {
-            // Columnar fast path: serve a clean sealed unit wholesale from
-            // its block (morsels are unit-aligned when the knob is on, so a
-            // block never straddles morsels). Dirty/unsealed units fall to
-            // the row path below, whose per-slot block fallback handles
-            // sealed rows among revived chains.
-            if let Some(pred) = &self.block_pred {
-                if pos.is_multiple_of(SHARD_UNIT_SLOTS) && pos + SHARD_UNIT_SLOTS <= end {
-                    let unit = pos / SHARD_UNIT_SLOTS;
-                    if let Some(block) = self.table.sealed_unit(unit).filter(|b| !b.is_dirty()) {
-                        let t0 = Instant::now();
-                        let out = columnar::scan_block(
-                            &block,
-                            pred,
-                            self.filter.as_ref(),
-                            self.read_ts,
-                            |row| rows.push(Arc::clone(row)),
-                        )?;
-                        if out.zone_skipped {
-                            self.table.note_zone_skip(unit);
-                        }
-                        if self.track {
-                            let s = acct.span(self.scan_id, OuKind::BlockScan);
-                            s.work.tuples += out.swept;
-                            s.work.bytes += out.bytes;
-                            s.work.allocated_bytes += out.bytes;
-                            s.elapsed_us += elapsed_us(t0);
-                            filtered += out.swept;
-                        }
-                        pos += SHARD_UNIT_SLOTS;
-                        continue;
-                    }
-                }
-            }
-            let seg_end = if self.block_pred.is_some() {
-                ((pos / SHARD_UNIT_SLOTS + 1) * SHARD_UNIT_SLOTS).min(end)
-            } else {
-                end
-            };
-            let mut err: Option<DbError> = None;
-            let t0 = Instant::now();
-            self.table
-                .scan_visible_range(pos, seg_end, self.read_ts, self.own, |_slot, tuple| {
-                    if self.track {
-                        scanned += 1;
-                        scanned_bytes += tuple_size_bytes(tuple) as u64;
-                    }
-                    let keep = match &self.filter {
-                        None => true,
-                        Some(ev) => match ev.eval_bool(tuple) {
-                            Ok(k) => k,
-                            Err(e) => {
-                                err = Some(e);
-                                return false;
-                            }
-                        },
-                    };
-                    if keep {
-                        rows.push(Arc::clone(tuple));
-                    }
-                    true
-                });
-            row_elapsed += elapsed_us(t0);
-            if let Some(e) = err {
-                return Err(e);
-            }
-            pos = seg_end;
+        let mut scan = ScanAcct::default();
+        self.scan.scan(&mut pos, end, &mut scan, |_, row| {
+            rows.push(Arc::clone(row));
+            true
+        })?;
+        let track = self.scan.track;
+        for ou in self.scan.ous().filter(|_| track) {
+            let a = scan.get(ou);
+            acct.add(self.scan_id, ou, &a.work, a.elapsed_us);
         }
-        if self.track {
-            let scan = acct.span(self.scan_id, OuKind::SeqScan);
-            scan.work.tuples += scanned;
-            scan.work.bytes += scanned_bytes;
-            scan.work.allocated_bytes += scanned_bytes;
-            scan.elapsed_us += row_elapsed;
-            if self.filter.is_some() {
-                // The fused predicate ran inside the scan/block sections;
-                // its work lands on the Arithmetic/Filter span with no
-                // elapsed time, exactly as the serial fused scan accounts
-                // it. Block-swept rows count too (zone-skipped units swept
-                // nothing).
-                let f = acct.span(self.scan_id, OuKind::ArithmeticFilter);
-                f.work.tuples += scanned + filtered;
-                f.work.comparisons += (scanned + filtered) * self.filter_ops;
-            }
-        }
-        for stage in &self.stages {
+        for (id, stage) in &self.stages {
             let t0 = Instant::now();
-            match stage {
-                ParStage::Filter { id, eval, ops } => {
-                    let n_in = rows.len() as u64;
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        if eval.eval_bool(&row)? {
-                            kept.push(row);
-                        }
-                    }
-                    rows = kept;
-                    if self.track {
-                        let s = acct.span(*id, OuKind::ArithmeticFilter);
-                        s.work.tuples += n_in;
-                        s.work.comparisons += n_in * ops;
-                        s.elapsed_us += elapsed_us(t0);
-                    }
-                }
-                ParStage::Project { id, evals, ops } => {
-                    let n = rows.len() as u64;
-                    let mut out = Vec::with_capacity(rows.len());
-                    for row in &rows {
-                        let projected: Tuple =
-                            evals.iter().map(|e| e.eval(row)).collect::<DbResult<_>>()?;
-                        out.push(Arc::new(projected));
-                    }
-                    rows = out;
-                    if self.track {
-                        let s = acct.span(*id, OuKind::ArithmeticFilter);
-                        s.work.tuples += n;
-                        s.work.comparisons += n * (*ops).max(1);
-                        s.elapsed_us += elapsed_us(t0);
-                    }
-                }
+            let mut work = WorkCounts::default();
+            rows = stage.apply(rows, &mut work)?;
+            if track {
+                acct.add(*id, OuKind::ArithmeticFilter, &work, elapsed_us(t0));
             }
         }
         Ok(rows)
@@ -582,13 +424,13 @@ pub(crate) struct ParallelRun<T> {
 }
 
 /// Launch a parallel chain on `pool`. `consume` runs on the worker for each
-/// morsel's filtered/projected rows (breakers use it to build per-morsel
-/// partial state); its output travels to the issuing thread through the
-/// ordered gather.
+/// morsel's filtered/projected rows (the consuming operator's kernel: a
+/// probe, or a fold into per-morsel partial state); its output travels to
+/// the issuing thread through the ordered gather.
 pub(crate) fn start<T, F>(pool: &ExecPool, chain: Arc<ChainSpec>, consume: F) -> ParallelRun<T>
 where
     T: Send + 'static,
-    F: Fn(&ChainSpec, Vec<Arc<Tuple>>, &mut WorkerAcct) -> DbResult<T> + Send + Sync + 'static,
+    F: Fn(Vec<Arc<Tuple>>, &mut WorkerAcct) -> DbResult<T> + Send + Sync + 'static,
 {
     let n_morsels = chain.n_morsels();
     let jobs = pool.workers().min(n_morsels);
@@ -607,7 +449,7 @@ where
     // its own cursor; a worker drains its preferred shard's cursor and
     // steals from the next shard (round-robin) only when its own is
     // drained or window-blocked.
-    let n_shards = chain.table.shard_count().max(1);
+    let n_shards = chain.scan.table.shard_count().max(1);
     let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
     for m in 0..n_morsels {
         lists[chain.shard_of_morsel(m)].push(m);
@@ -671,7 +513,7 @@ where
                     Some(m) => {
                         let res = chain
                             .run_morsel(m, &mut acct)
-                            .and_then(|rows| consume(&chain, rows, &mut acct));
+                            .and_then(|rows| consume(rows, &mut acct));
                         obs.morsel_done(worker);
                         let failed = res.is_err();
                         if tx.send(Msg::Morsel(m, res)).is_err() || failed {
@@ -829,7 +671,7 @@ mod tests {
     fn sharded_chain_gathers_in_global_slot_order() {
         use mb2_common::schema::{Column, Schema};
         use mb2_common::types::{DataType, Value};
-        use mb2_storage::TableId;
+        use mb2_storage::{Table, TableId, Ts};
 
         let schema = Schema::new(vec![Column::new("a", DataType::Int)]);
         let n_rows = 3 * mb2_storage::SHARD_UNIT_SLOTS + 123;
@@ -844,20 +686,22 @@ mod tests {
         let run = |table: Arc<Table>| -> Vec<i64> {
             let pool = ExecPool::new(4);
             let chain = Arc::new(ChainSpec {
-                table,
-                read_ts: Ts(10),
-                own: Ts::txn(99),
+                scan: ScanKernel {
+                    table,
+                    read_ts: Ts(10),
+                    own: Ts::txn(99),
+                    filter: None,
+                    filter_ops: 0,
+                    block_pred: None,
+                    track: false,
+                },
                 scan_id: 0,
-                filter: None,
-                filter_ops: 0,
-                block_pred: None,
                 stages: vec![],
-                track: false,
                 morsel_slots: 64,
                 total_slots: n_rows,
             });
             let mut rows = Vec::new();
-            let mut par = start(&pool, chain, |_, batch, _| Ok(batch));
+            let mut par = start(&pool, chain, |batch, _| Ok(batch));
             while let Some(res) = par.next_morsel() {
                 for row in res.unwrap() {
                     match row[0] {
@@ -878,13 +722,16 @@ mod tests {
 
     #[test]
     fn worker_acct_folds_by_key() {
+        let counts = |tuples, comparisons| WorkCounts {
+            tuples,
+            comparisons,
+            ..WorkCounts::default()
+        };
         let mut a = WorkerAcct::default();
-        a.span(1, OuKind::SeqScan).work.tuples = 10;
-        a.span(1, OuKind::SeqScan).elapsed_us = 5.0;
+        a.add(1, OuKind::SeqScan, &counts(10, 0), 5.0);
         let mut b = WorkerAcct::default();
-        b.span(1, OuKind::SeqScan).work.tuples = 7;
-        b.span(1, OuKind::SeqScan).elapsed_us = 2.0;
-        b.span(2, OuKind::ArithmeticFilter).work.comparisons = 3;
+        b.add(1, OuKind::SeqScan, &counts(7, 0), 2.0);
+        b.add(2, OuKind::ArithmeticFilter, &counts(0, 3), 0.0);
         a.fold(b);
         let s = a.get(1, OuKind::SeqScan).unwrap();
         assert_eq!(s.work.tuples, 17);

@@ -20,6 +20,8 @@ use std::time::Instant;
 use mb2_common::metrics::idx;
 use mb2_common::{HardwareProfile, Metrics, OuKind, Prng};
 
+use crate::context::ExecContext;
+
 /// Receives one measurement per OU invocation. Implemented by MB2's metrics
 /// collector; `None` in the execution context disables tracking (the paper's
 /// "turn off the tracker outside training mode").
@@ -62,6 +64,94 @@ impl WorkCounts {
         self.allocated_bytes += other.allocated_bytes;
         self.block_reads += other.block_reads;
         self.block_writes += other.block_writes;
+    }
+}
+
+/// Work and wall time accounted for one (node, OU) away from its
+/// [`OpSpan`]: by a pool worker, or by a scan between the pulls of its
+/// serial operator. Folded into the span with [`OpSpan::add`].
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SpanAcct {
+    pub work: WorkCounts,
+    pub elapsed_us: f64,
+}
+
+impl SpanAcct {
+    pub fn add(&mut self, work: &WorkCounts, elapsed_us: f64) {
+        self.work.merge(work);
+        self.elapsed_us += elapsed_us;
+    }
+}
+
+/// Whether spans need tracking at all: a recorder is attached, or hardware
+/// pacing must stretch spans even when metrics aren't collected.
+pub(crate) fn tracking(ctx: &ExecContext<'_>) -> bool {
+    ctx.recorder.is_some() || ctx.hw.slowdown() > 1.0
+}
+
+/// One OU span of one plan node: the guard every operator measures through.
+/// Work folds into a single tracker across any number of timed sections
+/// (`enter`/`exit`) and worker accounts (`add`); the measurement is recorded
+/// exactly once, at `finish`. A span that never ran still records zero work,
+/// so the recorder sees the plan's full `(node id, OU)` set. Inactive spans
+/// (see [`tracking`]) cost one branch per call.
+pub(crate) struct OpSpan {
+    pub id: u32,
+    pub ou: OuKind,
+    tracker: Option<OuTracker>,
+}
+
+impl OpSpan {
+    pub fn new(ctx: &ExecContext<'_>, id: u32, ou: OuKind) -> OpSpan {
+        OpSpan {
+            id,
+            ou,
+            tracker: tracking(ctx).then(OuTracker::start_paused),
+        }
+    }
+
+    pub fn active(&self) -> bool {
+        self.tracker.is_some()
+    }
+
+    /// Open a timed section.
+    pub fn enter(&mut self) {
+        if let Some(t) = self.tracker.as_mut() {
+            t.resume();
+        }
+    }
+
+    /// Close the current timed section (downstream operators run next).
+    pub fn exit(&mut self) {
+        if let Some(t) = self.tracker.as_mut() {
+            t.pause();
+        }
+    }
+
+    pub fn work(&mut self, f: impl FnOnce(&mut OuTracker)) {
+        if let Some(t) = self.tracker.as_mut() {
+            f(t);
+        }
+    }
+
+    /// Fold work counted outside the span (and the wall time it took, if
+    /// it was timed elsewhere) into the span.
+    pub fn add(&mut self, work: &WorkCounts, elapsed_us: f64) {
+        if let Some(t) = self.tracker.as_mut() {
+            t.absorb(work, elapsed_us);
+        }
+    }
+
+    /// Record the folded measurement. Idempotent.
+    pub fn finish(&mut self, ctx: &ExecContext<'_>) {
+        if let Some(tracker) = self.tracker.take() {
+            let work = tracker.work;
+            let metrics = tracker.finish(&ctx.hw);
+            if let Some(r) = ctx.recorder {
+                r.record_work(self.id, self.ou, work);
+                r.record(self.id, self.ou, metrics);
+            }
+        }
     }
 }
 
@@ -262,8 +352,17 @@ mod tests {
             }
             t
         };
-        let base = work().finish(&HardwareProfile::default());
-        let half = work().finish(&HardwareProfile::new(
+        // Each side is the fastest of several repetitions: a busy loop timed
+        // by wall clock only ever gets slower when a concurrent test
+        // preempts it, so the minimum is the measurement of the span itself.
+        let fastest = |hw: &HardwareProfile| {
+            (0..7)
+                .map(|_| work().finish(hw))
+                .min_by(|a, b| a[idx::ELAPSED_US].total_cmp(&b[idx::ELAPSED_US]))
+                .expect("repetitions")
+        };
+        let base = fastest(&HardwareProfile::default());
+        let half = fastest(&HardwareProfile::new(
             HardwareProfile::DEFAULT_BASE_GHZ / 2.0,
         ));
         let ratio = half[idx::ELAPSED_US] / base[idx::ELAPSED_US];

@@ -11,7 +11,7 @@ use mb2_catalog::Catalog;
 use mb2_common::types::Tuple;
 use mb2_common::{Column, Metrics, OuKind, Schema, Value};
 use mb2_exec::{execute, ExecContext, ExecPool, OuRecorder, WorkCounts};
-use mb2_sql::{parse, PlanNode, Planner, Statement};
+use mb2_sql::{parse, BinOp, BoundExpr, OutputSink, PlanNode, Planner, Statement};
 use mb2_txn::TxnManager;
 
 struct Harness {
@@ -263,4 +263,120 @@ fn pool_counts_morsels() {
     let done = pool.morsels_processed() - before;
     // 5000 slots / 500 per morsel = 10 morsels, all processed (no LIMIT).
     assert_eq!(done, 10);
+}
+
+/// `a / (b - 3)` over `big (a, b)`: a division by zero on every row with
+/// `b = 3`, starting at row 3.
+fn div_by_b_minus_3() -> BoundExpr {
+    let bin = |op, left, right| BoundExpr::Binary {
+        op,
+        left: Box::new(left),
+        right: Box::new(right),
+    };
+    bin(
+        BinOp::Div,
+        BoundExpr::Col(0),
+        bin(BinOp::Sub, BoundExpr::Col(1), BoundExpr::Lit(Value::Int(3))),
+    )
+}
+
+fn run_plan(
+    h: &Harness,
+    plan: &PlanNode,
+    pool: Option<&Arc<ExecPool>>,
+    batch_size: usize,
+) -> Result<Vec<Tuple>, mb2_common::DbError> {
+    let mut txn = h.txns.begin();
+    let rows = {
+        let mut ctx = ExecContext::new(&h.catalog, &mut txn)
+            .with_morsel_slots(256)
+            .with_batch_size(batch_size);
+        if let Some(pool) = pool {
+            ctx = ctx.with_pool(pool.clone());
+        }
+        execute(plan, &mut ctx).map(|r| r.rows)
+    };
+    txn.commit().unwrap();
+    rows
+}
+
+#[test]
+fn expression_errors_match_between_serial_and_parallel_drivers() {
+    let h = multi_segment_harness();
+    let est = *h.plan("SELECT * FROM big").est();
+    let scan = || PlanNode::SeqScan {
+        table: "big".into(),
+        filter: None,
+        est,
+    };
+    let project = |input: PlanNode| PlanNode::Project {
+        input: Box::new(input),
+        exprs: vec![BoundExpr::Col(0), BoundExpr::Col(1), div_by_b_minus_3()],
+        est,
+    };
+    let join = |build: PlanNode, probe: PlanNode, filter: Option<BoundExpr>| PlanNode::Output {
+        input: Box::new(PlanNode::HashJoin {
+            build: Box::new(build),
+            probe: Box::new(probe),
+            build_keys: vec![0],
+            probe_keys: vec![0],
+            filter,
+            est,
+        }),
+        sink: OutputSink::Client,
+        est,
+    };
+    let spots = [
+        (
+            "scan filter",
+            h.plan("SELECT * FROM big WHERE a / (b - 3) > 0"),
+        ),
+        (
+            "project under the join build",
+            join(project(scan()), scan(), None),
+        ),
+        (
+            "project on the probe side",
+            join(scan(), project(scan()), None),
+        ),
+        (
+            "join residual",
+            join(scan(), scan(), Some(div_by_b_minus_3())),
+        ),
+        (
+            "aggregate argument",
+            h.plan("SELECT b, SUM(a / (b - 3)) FROM big GROUP BY b"),
+        ),
+    ];
+    let pools = [ExecPool::new(2), ExecPool::new(8)];
+    let good = h.plan("SELECT * FROM big WHERE b = 0");
+    let good_rows = run_plan(&h, &good, None, 1024).unwrap();
+    for (spot, plan) in &spots {
+        let serial = run_plan(&h, plan, None, 1024).unwrap_err();
+        assert!(
+            matches!(serial, mb2_common::DbError::Execution(_)),
+            "{spot}: expected an execution error, got {serial:?}"
+        );
+        for batch_size in [1usize, 7, 1024] {
+            let pooled = [None, Some(&pools[0]), Some(&pools[1])];
+            for pool in pooled {
+                let workers = pool.map_or(1, |p| p.workers());
+                let err = run_plan(&h, plan, pool, batch_size).unwrap_err();
+                assert_eq!(
+                    err, serial,
+                    "{spot}: workers={workers} batch_size={batch_size}"
+                );
+                // The pool keeps serving after a failed query.
+                assert_eq!(
+                    run_plan(&h, &good, pool, batch_size).unwrap(),
+                    good_rows,
+                    "{spot}: follow-up query, workers={workers} batch_size={batch_size}"
+                );
+            }
+        }
+    }
+    // Every spot above sits on a leaf chain the pools ran morsel-wise.
+    for pool in &pools {
+        assert!(pool.morsels_processed() > 0);
+    }
 }
