@@ -8,8 +8,6 @@
 //! wall-clock duration, and gates on leave-one-out mean relative error —
 //! the same decomposed-OU methodology the paper applies to query OUs,
 //! pointed at the recovery path.
-//!
-//! Emits `results/BENCH_chaos.json`.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -18,7 +16,7 @@ use mb2_engine::{recover, Database, DatabaseConfig, RecoveryReport};
 use mb2_ml::linear::LinearRegression;
 use mb2_ml::{mean_relative_error, Regressor};
 
-use crate::report::{fmt, results_dir, Table};
+use crate::report::{fmt, Table};
 use crate::Scale;
 
 /// Mean-relative-error acceptance gate for the fitted model.
@@ -148,37 +146,6 @@ pub fn run(scale: Scale) -> String {
         mre <= MRE_GATE,
         if pass { "PASS" } else { "FAIL" }
     );
-
-    // Machine-readable companion: hand-rolled JSON, no serde dependency.
-    let mut json = String::from("{\n  \"experiment\": \"chaos_recovery\",\n");
-    let _ = writeln!(json, "  \"runs\": {runs},");
-    let _ = writeln!(json, "  \"model\": \"linear_regression\",");
-    let _ = writeln!(
-        json,
-        "  \"features\": [\"records_read\", \"tuples_applied\", \"schema_objects\"],"
-    );
-    let _ = writeln!(json, "  \"loo_mean_relative_error\": {mre:.4},");
-    let _ = writeln!(json, "  \"mre_gate\": {MRE_GATE},");
-    let mut durations: Vec<f64> = labels.iter().map(|l| l[0] / 1000.0).collect();
-    durations.sort_by(|a, b| a.total_cmp(b));
-    let _ = writeln!(
-        json,
-        "  \"recovery_ms_min\": {:.3},",
-        durations.first().copied().unwrap_or(0.0)
-    );
-    let _ = writeln!(
-        json,
-        "  \"recovery_ms_max\": {:.3},",
-        durations.last().copied().unwrap_or(0.0)
-    );
-    let _ = writeln!(json, "  \"gate_pass\": {pass}");
-    json.push_str("}\n");
-    let path = results_dir().join("BENCH_chaos.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        let _ = writeln!(out, "\nwrote {}", path.display());
-    }
 
     assert!(pass, "chaos_recovery acceptance gates failed:\n{out}");
     out

@@ -10,8 +10,6 @@
 //!    observed build duration;
 //! 2. when the verify window is sabotaged (every commit stalls via fault
 //!    injection), the pilot reverts the action it just deployed.
-//!
-//! Emits `results/BENCH_pilot.json`.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -25,7 +23,7 @@ use mb2_workloads::tatp::Tatp;
 use mb2_workloads::Workload;
 
 use crate::pipeline::{build_ou_models, PipelineConfig};
-use crate::report::{fmt, results_dir, Table};
+use crate::report::{fmt, Table};
 use crate::Scale;
 
 /// Predicted index-build cost must land within this factor of observed.
@@ -225,29 +223,6 @@ pub fn run(scale: Scale) -> String {
          sabotaged verify reverts it: {g_revert} — {}",
         if pass { "PASS" } else { "FAIL" }
     );
-
-    // Machine-readable companion: hand-rolled JSON, no serde dependency.
-    let mut json = String::from("{\n  \"experiment\": \"pilot_loop\",\n");
-    let _ = writeln!(json, "  \"subscribers\": {subscribers},");
-    let _ = writeln!(json, "  \"ticks_to_build\": {build_ticks},");
-    let _ = writeln!(json, "  \"predicted_build_us\": {predicted_us:.1},");
-    let _ = writeln!(json, "  \"observed_build_us\": {observed_us:.1},");
-    let _ = writeln!(json, "  \"build_cost_ratio\": {ratio:.4},");
-    let _ = writeln!(json, "  \"build_cost_factor_gate\": {BUILD_COST_FACTOR},");
-    let _ = writeln!(json, "  \"builds_applied\": {builds_applied},");
-    let _ = writeln!(json, "  \"reverts\": {revert_count},");
-    let _ = writeln!(json, "  \"gate_build\": {g_build},");
-    let _ = writeln!(json, "  \"gate_cost\": {g_cost},");
-    let _ = writeln!(json, "  \"gate_accept\": {g_accept},");
-    let _ = writeln!(json, "  \"gate_revert\": {g_revert},");
-    let _ = writeln!(json, "  \"gate_pass\": {pass}");
-    json.push_str("}\n");
-    let path = results_dir().join("BENCH_pilot.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("warning: could not write {}: {e}", path.display());
-    } else {
-        let _ = writeln!(out, "\nwrote {}", path.display());
-    }
 
     assert!(pass, "pilot_loop acceptance gates failed:\n{out}");
     out

@@ -63,7 +63,7 @@ pub fn fmt(v: f64) -> String {
 }
 
 /// Where experiment reports are persisted.
-pub fn results_dir() -> PathBuf {
+fn results_dir() -> PathBuf {
     let dir = std::env::var("MB2_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|_| PathBuf::from("results"));

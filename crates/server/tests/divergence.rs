@@ -3,9 +3,11 @@
 
 use std::sync::Arc;
 
-use mb2_common::Value;
+use mb2_common::{Prng, Value};
 use mb2_engine::{Database, DatabaseConfig};
 use mb2_server::{Client, Server, ServerConfig};
+use mb2_workloads::smallbank::SmallBank;
+use mb2_workloads::{execute_transaction, Workload};
 
 /// A deterministic per-client statement script: DDL, batched inserts,
 /// updates, deletes, and verification selects over a private table.
@@ -171,5 +173,44 @@ fn thirty_two_concurrent_readers_see_identical_results() {
     for h in handles {
         h.join().unwrap();
     }
+    server.shutdown();
+}
+
+/// A seeded SmallBank stream replayed as explicit transactions over the
+/// wire and in-process into an identically loaded oracle: every
+/// transaction must commit or fail the same way on both sides, and the
+/// final tables must be identical.
+#[test]
+fn smallbank_replay_over_the_wire_matches_in_process() {
+    let smallbank = SmallBank::small();
+    let served = Arc::new(Database::new(DatabaseConfig::default()).unwrap());
+    let oracle = Database::new(DatabaseConfig::default()).unwrap();
+    smallbank.load(&served).unwrap();
+    smallbank.load(&oracle).unwrap();
+    let server = Server::start(served, ServerConfig::default()).expect("server");
+    let mut client = Client::connect(server.local_addr().to_string()).expect("connect");
+
+    let templates = smallbank.template_names();
+    let mut rng = Prng::new(0xb2b2_0001);
+    for i in 0..200 {
+        let template = templates[i % templates.len()];
+        let statements = smallbank.sample_transaction(template, &mut rng);
+        let wire = client.execute_transaction(&statements);
+        let inproc = execute_transaction(&oracle, &statements);
+        assert_eq!(
+            wire.is_ok(),
+            inproc.is_ok(),
+            "txn {i} ({template}) diverged: wire {wire:?} vs in-process {inproc:?}"
+        );
+    }
+    for q in [
+        "SELECT custid, name FROM sb_accounts ORDER BY custid",
+        "SELECT custid, bal FROM sb_savings ORDER BY custid",
+        "SELECT custid, bal FROM sb_checking ORDER BY custid",
+    ] {
+        let wire = client.query(q).expect("wire dump").rows;
+        assert_eq!(wire, oracle.execute(q).unwrap().rows, "`{q}` diverged");
+    }
+    drop(client);
     server.shutdown();
 }
